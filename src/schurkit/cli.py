@@ -20,7 +20,7 @@ from . import linalg as la
 from . import serialize
 from .contractions import Contraction
 from .errors import SchurkitError
-from .linalg import Tolerance, adj
+from .linalg import Tolerance
 from .schur import CHAIN_THRESHOLDS, build_chain, verify_chain
 from .systems import DiscreteSystem, disk_grid, random_conservative_system
 
@@ -143,7 +143,7 @@ def _run_schur(cmd: Command) -> int:
 
 def _run_realize(cmd: Command) -> int:
     system = _load_system(cmd)
-    chain, _ = _build_verified_chain(cmd, system)
+    chain = build_chain(system, cmd.n_max)
     out = {
         "h_dims": [s.dim for s in chain.h_chain],
         "terminated": chain.params.terminated,
@@ -158,11 +158,7 @@ def _run_realize(cmd: Command) -> int:
 
 def _run_verify(cmd: Command) -> int:
     system = _load_system(cmd)
-    full = system.colligation()
-    gate = max(
-        la.matnorm_diff(adj(full) @ full, la.eye(full.shape[1])),
-        la.matnorm_diff(full @ adj(full), la.eye(full.shape[0])),
-    )
+    gate = la.unitarity_residual(system.colligation())
     if gate > _VERIFY_GATE:
         out = {
             "classification": _classification_json(system),

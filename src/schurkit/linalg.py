@@ -83,6 +83,14 @@ def matnorm_diff(a: np.ndarray, b: np.ndarray) -> float:
     return opnorm(a - b)
 
 
+def unitarity_residual(m: np.ndarray) -> float:
+    """max(||M*M - I||, ||MM* - I||); 0 exactly when M is unitary."""
+    return max(
+        matnorm_diff(adj(m) @ m, eye(m.shape[1])),
+        matnorm_diff(m @ adj(m), eye(m.shape[0])),
+    )
+
+
 @dataclass(frozen=True)
 class Subspace:
     """A closed subspace of C^d stored as an orthonormal column basis.

@@ -77,12 +77,6 @@ def grid_distance(f: SampledFunction, g: SampledFunction,
     return max(la.matnorm_diff(f(lam), g(lam)) for lam in pts)
 
 
-def schur_norm_excess(f: SampledFunction, grid: Sequence[complex] | None = None) -> float:
-    """max(0, sup ||f|| - 1) over the grid; 0 for Schur-class samples."""
-    pts = disk_grid() if grid is None else grid
-    return max(0.0, max(la.opnorm(f(lam)) for lam in pts) - 1.0)
-
-
 @dataclass(frozen=True)
 class SystemClassification:
     passive: bool
@@ -382,8 +376,7 @@ def intertwining_residual(s1: DiscreteSystem, s2: DiscreteSystem, u: np.ndarray)
         la.matnorm_diff(u @ s1.a, s2.a @ u),
         la.matnorm_diff(u @ s1.b, s2.b),
         la.matnorm_diff(s1.c, s2.c @ u),
-        la.matnorm_diff(adj(u) @ u, la.eye(s1.state_dim)),
-        la.matnorm_diff(u @ adj(u), la.eye(s2.state_dim)),
+        la.unitarity_residual(u),
     )
 
 

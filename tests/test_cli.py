@@ -5,6 +5,7 @@ import pytest
 
 from schurkit import serialize
 from schurkit.cli import main
+from schurkit.errors import SchurkitError
 from conftest import permutation_colligation
 
 
@@ -85,6 +86,18 @@ def test_realize_output(system_path, tmp_path):
         for sysobj in family:
             assert sysobj["classification"]["conservative"]
             assert sysobj["classification"]["simple"]
+
+
+def test_realize_does_not_verify(system_path, tmp_path, monkeypatch):
+    expected, got = tmp_path / "expected.json", tmp_path / "got.json"
+    assert main(["realize", "--input", str(system_path), "--output", str(expected)]) == 0
+
+    def refuse(*args, **kwargs):
+        raise SchurkitError("realize must not run the verifier")
+
+    monkeypatch.setattr("schurkit.cli.verify_chain", refuse)
+    assert main(["realize", "--input", str(system_path), "--output", str(got)]) == 0
+    assert got.read_bytes() == expected.read_bytes()
 
 
 def test_verify_pass_and_determinism(system_path, tmp_path):

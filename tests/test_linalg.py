@@ -162,6 +162,19 @@ class TestPredicates:
     def test_empty_is_unitary(self):
         assert la.is_unitary(la.zeros(0, 0))
 
+    def test_unitarity_residual(self, rng):
+        u = la.haar_unitary(4, rng)
+        assert la.unitarity_residual(u) <= 1e-13
+        assert la.unitarity_residual(la.zeros(0, 0)) == 0.0
+        # an isometry that is not onto: only the MM* term is nonzero
+        col = u[:, :2]
+        assert la.matnorm_diff(adj(col) @ col, np.eye(2)) <= 1e-13
+        assert abs(la.unitarity_residual(col) - 1.0) <= 1e-13
+        m = random_matrix(rng, 3, 5)
+        assert la.unitarity_residual(m) == max(
+            la.matnorm_diff(adj(m) @ m, np.eye(5)), la.matnorm_diff(m @ adj(m), np.eye(3))
+        )
+
 
 class TestZeroDims:
     def test_empty_product_is_zero(self):

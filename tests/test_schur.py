@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,9 +25,14 @@ from schurkit import (
     unitarily_similar,
 )
 from schurkit.blockparam import defect_data
-from schurkit.errors import Terminated, UnitaryParameter, UnitaryTheta0
+from schurkit.errors import SchurkitError, Terminated, UnitaryParameter, UnitaryTheta0
 from schurkit.linalg import adj
-from schurkit.schur import SchurChain, build_chain, is_unitary_parameter, verify_chain
+from schurkit.schur import (
+    CHAIN_THRESHOLDS,
+    build_chain,
+    is_unitary_parameter,
+    verify_chain,
+)
 from schurkit.systems import intertwining_residual
 from conftest import (
     blaschke_colligation,
@@ -293,13 +300,72 @@ class TestVerifyChain:
         victim = family[0][0]
         corrupted = discrete_system(victim.d, victim.c, victim.b + 1e-3, victim.a)
         family[0][0] = corrupted
-        bad_chain = SchurChain(chain.source, chain.params, chain.h_chain, family)
+        bad_chain = dataclasses.replace(chain, families=family)
         report = verify_chain(bad_chain)
         assert not report.ok
         flagged = {k: v for k, v in report.failures().items()
                    if k.startswith(("transfer_oracle", "unitarity", "similarity"))}
         assert flagged
         assert any(v >= 1e-4 for v in flagged.values())
+        assert any(k.startswith("similarity") for k in flagged)
+
+    def test_member_of_wrong_size_is_reported(self, rng):
+        sys = random_conservative_system(4, 2, rng)
+        chain = build_chain(sys)
+        family = [list(f) for f in chain.families]
+        family[0][0] = random_conservative_system(5, 2, rng)
+        report = verify_chain(dataclasses.replace(chain, families=family))
+        assert report.residuals["similarity[1,0]"] == float("inf")
+        assert not report.ok
+
+    @pytest.mark.parametrize("state_dim, seed", [(12, 165), (16, 11)])
+    def test_oracle_breakdown_is_reported(self, state_dim, seed):
+        # the oracle's last parameter leaves the unit ball by rounding and
+        # its defect cannot be formed; the realization side is correct
+        sys = random_conservative_system(state_dim, 1, np.random.default_rng(seed))
+        chain = build_chain(sys)
+        with pytest.raises(SchurkitError):
+            schur_oracle(sys.sampled(), len(chain.params) - 1)
+        report = verify_chain(chain)
+        assert not report.ok
+        assert any(k.startswith("oracle_breakdown[") for k in report.failures())
+        assert report.thresholds["oracle_breakdown"] == CHAIN_THRESHOLDS["oracle_breakdown"]
+
+
+def _lattice_intertwiner(chain, j, k):
+    bases = chain.lattice[j]
+    return adj(bases[k + 1]) @ chain.source.a @ bases[k]
+
+
+class TestLatticeCertificate:
+    @pytest.mark.parametrize("io_dim", [1, 2, 3])
+    def test_agrees_with_search(self, io_dim):
+        # the intertwiner of simple systems is unique, so the closed form
+        # and the least-squares search must find the same unitary
+        thr = CHAIN_THRESHOLDS["similarity"]
+        for seed in range(10):
+            sys = random_conservative_system(1 + seed % 6, io_dim, np.random.default_rng(seed))
+            chain = build_chain(sys)
+            for j, family in enumerate(chain.families):
+                for k in range(len(family) - 1):
+                    u_lat = _lattice_intertwiner(chain, j, k)
+                    u_search = unitarily_similar(family[k], family[k + 1])
+                    assert u_search is not None
+                    assert intertwining_residual(family[k], family[k + 1], u_lat) <= thr
+                    assert intertwining_residual(family[k], family[k + 1], u_search) <= thr
+                    assert la.matnorm_diff(u_lat, u_search) <= 1e-8
+
+    def test_verify_makes_no_least_squares_solve(self, monkeypatch):
+        sys = random_conservative_system(6, 2, np.random.default_rng(5))
+        chain = build_chain(sys)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify_chain called numpy.linalg.lstsq")
+
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        report = verify_chain(chain)
+        assert report.ok
+        assert any(k.startswith("similarity[") for k in report.residuals)
 
 
 class TestTermination:
