@@ -258,24 +258,26 @@ def reconstruct(seq: ChoiceSequence, tol: Tolerance = DEFAULT_TOL) -> SampledFun
 class OracleChain:
     """Function-level side of the algorithm: parameters and iterates.
 
-    ``breakdown`` is the step whose next iterate could not be formed, when
-    :func:`schur_oracle` was asked to record rather than raise it.
+    ``doms[n]`` and ``codoms[n]`` are the bases of the input and output
+    spaces of ``iterates[n]``.  ``breakdown`` is the step whose parameter
+    or next iterate could not be formed; the run stops there, so the
+    iterate of that step is kept but has no parameter.
     """
 
     params: ChoiceSequence
     iterates: list[SampledFunction]
+    doms: list[np.ndarray]
+    codoms: list[np.ndarray]
     breakdown: int | None = None
 
 
 def schur_oracle(theta: SampledFunction, n_max: int,
-                 tol: Tolerance = DEFAULT_TOL,
-                 record_breakdown: bool = False) -> OracleChain:
+                 tol: Tolerance = DEFAULT_TOL) -> OracleChain:
     """Run the function-level algorithm up to ``n_max`` parameters.
 
     A step fails when a rank decision breaks down, typically on a parameter
-    at the edge of contractivity.  By default the error propagates; with
-    ``record_breakdown`` the run ends there and returns the steps before it,
-    with the failing step in ``breakdown``.
+    at the edge of contractivity; the run then ends with the failing step
+    in ``breakdown``.
     """
     gammas: list[np.ndarray] = []
     doms = [la.eye(theta.in_dim)]
@@ -292,8 +294,6 @@ def schur_oracle(theta: SampledFunction, n_max: int,
             terminated = True
             break
         except (SchurkitError, np.linalg.LinAlgError):
-            if not record_breakdown:
-                raise
             breakdown = n
             break
         gammas.append(gamma)
@@ -304,8 +304,8 @@ def schur_oracle(theta: SampledFunction, n_max: int,
         codoms.append(codoms[-1] @ f.basis)
         iterates.append(nxt)
         current = nxt
-    return OracleChain(ChoiceSequence(gammas, doms[: len(gammas)], codoms[: len(gammas)],
-                                      terminated), iterates[: len(gammas)], breakdown)
+    params = ChoiceSequence(gammas, doms[: len(gammas)], codoms[: len(gammas)], terminated)
+    return OracleChain(params, iterates, doms, codoms, breakdown)
 
 
 def _require_simple_conservative(sys: DiscreteSystem):
@@ -522,6 +522,14 @@ def build_chain(sys: DiscreteSystem, n_max: int | None = None,
     return SchurChain(sys, chain.choice(), h_chain, families, lattice)
 
 
+def _lattice_intertwiner(chain: SchurChain, j: int, k: int) -> np.ndarray:
+    """U_k = W_{k+1}* A W_k: the compression of the source state A from
+    H(j+1-k, k) to H(j-k, k+1), which maps the state space of
+    ``chain.families[j][k]`` onto that of member k+1 and intertwines them."""
+    bases = chain.lattice[j]
+    return adj(bases[k + 1]) @ chain.source.a @ bases[k]
+
+
 # Residual thresholds used by verify_chain, keyed by residual kind.
 CHAIN_THRESHOLDS = {
     "colligation_unitarity": 1e-9,
@@ -576,8 +584,8 @@ def verify_chain(chain: SchurChain, grid=None, tol: Tolerance | None = None) -> 
     across k; (d) characteristic function of the compressed state versus
     the pure part of the oracle iterate; (e) colligation unitarity and
     shape bookkeeping.  Failures are reported, never raised; a breakdown of
-    the oracle is reported as ``oracle_breakdown`` and the steps before it
-    are compared as usual.
+    the oracle is reported as ``oracle_breakdown`` and the parameters and
+    iterates the oracle did produce are compared as usual.
 
     The similarity certificate of members k and k+1 of family n is the
     lattice intertwiner U_k = W_{k+1}* A W_k, with W_k the stored basis of
@@ -610,13 +618,13 @@ def verify_chain(chain: SchurChain, grid=None, tol: Tolerance | None = None) -> 
             0.0 if len(seq) - 1 <= chain.source.state_dim else 1.0,
         )
 
-    oracle = schur_oracle(chain.source.sampled(), len(seq) - 1, tol, record_breakdown=True)
+    oracle = schur_oracle(chain.source.sampled(), len(seq) - 1, tol)
     if oracle.breakdown is not None:
         report.add("oracle_breakdown", str(oracle.breakdown), float("inf"))
     n_common = min(len(seq), len(oracle.params))
     for n in range(n_common):
-        omega = adj(seq.doms[n]) @ oracle.params.doms[n]
-        psi = adj(seq.codoms[n]) @ oracle.params.codoms[n]
+        omega = adj(seq.doms[n]) @ oracle.doms[n]
+        psi = adj(seq.codoms[n]) @ oracle.codoms[n]
         align = max(
             la.matnorm_diff(adj(omega) @ omega, la.eye(omega.shape[1])),
             la.matnorm_diff(adj(psi) @ psi, la.eye(psi.shape[1])),
@@ -631,8 +639,8 @@ def verify_chain(chain: SchurChain, grid=None, tol: Tolerance | None = None) -> 
         n = idx + 1
         if n >= len(oracle.iterates):
             break
-        omega = adj(seq.doms[n]) @ oracle.params.doms[n]
-        psi = adj(seq.codoms[n]) @ oracle.params.codoms[n]
+        omega = adj(seq.doms[n]) @ oracle.doms[n]
+        psi = adj(seq.codoms[n]) @ oracle.codoms[n]
         theta_o = oracle.iterates[n]
         aligned = SampledFunction(
             omega.shape[0], psi.shape[0],
@@ -647,13 +655,12 @@ def verify_chain(chain: SchurChain, grid=None, tol: Tolerance | None = None) -> 
             except SchurkitError:
                 pure_resid = float("inf")
             report.add("pure_char", f"{n},{k}", pure_resid)
-        bases = chain.lattice[idx]
         for k in range(len(family) - 1):
             report.add(
                 "transfer_across_k", f"{n},{k}",
                 grid_distance(transfers[k], transfers[k + 1], pts),
             )
-            u = adj(bases[k + 1]) @ chain.source.a @ bases[k]
+            u = _lattice_intertwiner(chain, idx, k)
             fits = u.shape == (family[k + 1].state_dim, family[k].state_dim)
             report.add(
                 "similarity", f"{n},{k}",

@@ -24,11 +24,13 @@ from schurkit import (
     schur_oracle,
     unitarily_similar,
 )
+from schurkit import schur as schur_mod
 from schurkit.blockparam import defect_data
 from schurkit.errors import SchurkitError, Terminated, UnitaryParameter, UnitaryTheta0
 from schurkit.linalg import adj
 from schurkit.schur import (
     CHAIN_THRESHOLDS,
+    _lattice_intertwiner,
     build_chain,
     is_unitary_parameter,
     verify_chain,
@@ -324,17 +326,34 @@ class TestVerifyChain:
         # its defect cannot be formed; the realization side is correct
         sys = random_conservative_system(state_dim, 1, np.random.default_rng(seed))
         chain = build_chain(sys)
-        with pytest.raises(SchurkitError):
-            schur_oracle(sys.sampled(), len(chain.params) - 1)
+        step = len(chain.params) - 1
+        oracle = schur_oracle(sys.sampled(), step)
+        assert oracle.breakdown == step
+        # the iterate of the failing step was formed and is kept
+        assert len(oracle.iterates) == len(oracle.doms) == step + 1
         report = verify_chain(chain)
-        assert not report.ok
-        assert any(k.startswith("oracle_breakdown[") for k in report.failures())
+        assert report.failures() == {f"oracle_breakdown[{step}]": float("inf")}
         assert report.thresholds["oracle_breakdown"] == CHAIN_THRESHOLDS["oracle_breakdown"]
 
+    def test_family_at_breakdown_step_is_compared(self, monkeypatch, rng):
+        # a breakdown at step 2 leaves iterate 2 formed but without its
+        # parameter: family 2 is still compared against it
+        chain = build_chain(random_conservative_system(4, 1, rng))
+        step = schur_mod.oracle_step
+        calls = []
 
-def _lattice_intertwiner(chain, j, k):
-    bases = chain.lattice[j]
-    return adj(bases[k + 1]) @ chain.source.a @ bases[k]
+        def fail_at_two(theta, tol):
+            calls.append(theta)
+            if len(calls) == 3:
+                raise SchurkitError("injected breakdown")
+            return step(theta, tol)
+
+        monkeypatch.setattr(schur_mod, "oracle_step", fail_at_two)
+        report = verify_chain(chain)
+        assert report.failures() == {"oracle_breakdown[2]": float("inf")}
+        assert "gamma[2]" not in report.residuals
+        assert "transfer_oracle[2,0]" in report.residuals
+        assert "pure_char[2,2]" in report.residuals
 
 
 class TestLatticeCertificate:
