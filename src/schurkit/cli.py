@@ -188,7 +188,7 @@ def _run_verify(cmd: Command) -> int:
 def _run_sample(cmd: Command) -> int:
     system = _load_system(cmd)
     grid = disk_grid(cmd.grid_radii)
-    values = [(lam, system.transfer(lam)) for lam in grid]
+    values = list(zip(grid, system.transfer(np.asarray(grid))))
     _emit(cmd, serialize.sample_csv(values))
     return EXIT_OK
 

@@ -83,6 +83,24 @@ def matnorm_diff(a: np.ndarray, b: np.ndarray) -> float:
     return opnorm(a - b)
 
 
+def stack_matnorm_diff(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest spectral norm of a[i] - b[i] over two (P, rows, cols)
+    stacks; infinity when shapes differ, 0 for an empty stack."""
+    if a.shape != b.shape:
+        return float("inf")
+    return float(np.linalg.norm(a - b, 2, axis=(-2, -1)).max(initial=0.0))
+
+
+def solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a[i] x[i] = b[i] for a (P, n, n) stack ``a``; ``b`` is one
+    (n, k) right-hand side shared by every point, or a (P, n, k) stack.
+
+    ``b`` is broadcast explicitly: numpy before 2.0 reads a 2-D ``b`` next
+    to a 3-D ``a`` as a stack of vectors.
+    """
+    return np.linalg.solve(a, np.broadcast_to(b, a.shape[:-1] + b.shape[-1:]))
+
+
 def unitarity_residual(m: np.ndarray) -> float:
     """max(||M*M - I||, ||MM* - I||); 0 exactly when M is unitary."""
     return max(

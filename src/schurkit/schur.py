@@ -1,7 +1,8 @@
 """The Schur algorithm for matrix Schur-class functions, both ways.
 
 Function level: peel off Gamma_n = Theta_n(0) and form the next iterate
-pointwise through the Moebius parameter (the division-by-lambda route).
+through the Moebius parameter (the division-by-lambda route), evaluated on
+whole arrays of points at once.
 Realization level: read every Gamma_n off a simple conservative realization
 in closed form through nested defect pseudo-inverses, and assemble, for
 each n, the whole family of conservative realizations of the n-th iterate
@@ -38,6 +39,7 @@ from .errors import (
 from .linalg import DEFAULT_TOL, Subspace, Tolerance, adj
 from .systems import (
     DiscreteSystem,
+    PureSplit,
     SampledFunction,
     char_function,
     const_function,
@@ -45,7 +47,7 @@ from .systems import (
     disk_grid,
     grid_distance,
     intertwining_residual,
-    pure_part_function,
+    pure_part,
     unitarily_similar,  # noqa: F401  re-exported: the independent similarity search
 )
 
@@ -71,52 +73,74 @@ def is_unitary_parameter(g: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
 # the truncation error is below _LIMIT_RADIUS**_LIMIT_POINTS ~ 1e-16.
 _LIMIT_RADIUS = 0.4
 _LIMIT_POINTS = 40
+_LIMIT_CIRCLE = _LIMIT_RADIUS * np.exp(1j * (2.0 * np.pi * np.arange(_LIMIT_POINTS)
+                                              / _LIMIT_POINTS))
 
 
-def _limit_at_zero(evaluate) -> np.ndarray:
-    angles = 2.0 * np.pi * np.arange(_LIMIT_POINTS) / _LIMIT_POINTS
-    points = _LIMIT_RADIUS * np.exp(1j * angles)
-    total = evaluate(points[0])
-    for lam in points[1:]:
-        total = total + evaluate(lam)
-    return total / _LIMIT_POINTS
+class _DividedEvaluator:
+    """Array evaluator of D_g* (I - Theta(lam) g*)^{-1} (Theta(lam) - g) D_g^{-1},
+    divided by lambda when ``divide`` is set.
+
+    The value is expressed in the defect bases ``dom`` and ``cod`` of
+    ``gamma``, with every inverse restricted to the defect subspaces so that
+    unitary parts of gamma never enter a solve.  The value at 0 is 0, or,
+    when dividing, the Cauchy mean over the quadrature circle, computed once.
+    The evaluator keeps the stack of the last point array it evaluated, so
+    a chain of iterates sampled level by level on one grid samples each
+    level once.
+    """
+
+    def __init__(self, theta: SampledFunction, gamma: np.ndarray, tol: Tolerance,
+                 divide: bool):
+        dd = la.defect_of(gamma, tol)
+        dds = la.defect_of(gamma, tol, adjoint=True)
+        self.dom, self.cod = dd.space, dds.space
+        self.theta, self.gamma, self.divide = theta, gamma, divide
+        self.d_restr = adj(self.cod.basis) @ dds.op @ self.cod.basis
+        self.j_restr = adj(self.dom.basis) @ dd.op_pinv @ self.dom.basis
+        self.at_zero: np.ndarray | None = None
+        self.last: tuple[np.ndarray, np.ndarray] | None = None
+
+    def _core(self, pts: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """The value at nonzero ``pts`` from the stack ``t`` of theta there."""
+        eb, fb, g = self.dom.basis, self.cod.basis, self.gamma
+        pencil = adj(fb) @ (la.eye(g.shape[0]) - t @ adj(g)) @ fb
+        num = adj(fb) @ (t - g) @ eb
+        value = self.d_restr @ np.linalg.solve(pencil, num) @ self.j_restr
+        return value / pts[:, None, None] if self.divide else value
+
+    def _value_at_zero(self) -> np.ndarray:
+        if self.at_zero is None:
+            if self.divide:
+                circle = self._core(_LIMIT_CIRCLE, self.theta.on(_LIMIT_CIRCLE))
+                # a running sum in point order; a pairwise sum (np.mean)
+                # changes the last bits, which deep iterates amplify
+                self.at_zero = circle.cumsum(axis=0)[-1] / _LIMIT_POINTS
+            else:
+                self.at_zero = la.zeros(self.cod.dim, self.dom.dim)
+        return self.at_zero
+
+    def __call__(self, pts: np.ndarray) -> np.ndarray:
+        if self.last is not None and np.array_equal(pts, self.last[0]):
+            return self.last[1]
+        shape = (pts.shape[0], self.cod.dim, self.dom.dim)
+        zero = pts == 0
+        if zero.all():
+            return np.broadcast_to(self._value_at_zero(), shape)
+        values = np.empty(shape, dtype=complex)
+        values[~zero] = self._core(pts[~zero], self.theta.on(pts)[~zero])
+        if zero.any():
+            values[zero] = self._value_at_zero()
+        values.flags.writeable = False
+        self.last = (pts.copy(), values)
+        return values
 
 
 def _divided_step(theta: SampledFunction, gamma: np.ndarray, tol: Tolerance,
                   divide: bool) -> SampledFunction:
-    """Common core of the Moebius parameter and the Schur iterate.
-
-    Evaluates D_g* (I - Theta(lam) g*)^{-1} (Theta(lam) - g) D_g^{-1} in
-    the defect bases of ``gamma``, with every inverse restricted to the
-    defect subspaces so that unitary parts of gamma never enter a solve;
-    divides by lambda when ``divide`` is set.
-    """
-    dd = la.defect_of(gamma, tol)
-    dds = la.defect_of(gamma, tol, adjoint=True)
-    eb, fb = dd.space.basis, dds.space.basis
-    d_restr = adj(fb) @ dds.op @ fb
-    j_restr = adj(eb) @ dd.op_pinv @ eb
-    q = gamma.shape[0]
-
-    def core(lam: complex) -> np.ndarray:
-        t = theta(lam)
-        pencil = adj(fb) @ (la.eye(q) - t @ adj(gamma)) @ fb
-        num = adj(fb) @ (t - gamma) @ eb
-        value = d_restr @ np.linalg.solve(pencil, num) @ j_restr
-        return value / lam if divide else value
-
-    cache: dict[str, np.ndarray] = {}
-
-    def evaluate(lam: complex) -> np.ndarray:
-        if lam == 0:
-            if divide:
-                if "limit" not in cache:
-                    cache["limit"] = _limit_at_zero(core)
-                return cache["limit"]
-            return la.zeros(dds.space.dim, dd.space.dim)
-        return core(lam)
-
-    return SampledFunction(dd.space.dim, dds.space.dim, evaluate)
+    """Common core of the Moebius parameter and the Schur iterate."""
+    evaluator = _DividedEvaluator(theta, gamma, tol, divide)
+    return SampledFunction(evaluator.dom.dim, evaluator.cod.dim, evaluator)
 
 
 def oracle_step(theta: SampledFunction, tol: Tolerance = DEFAULT_TOL):
@@ -160,10 +184,11 @@ def moebius_compose(gamma: np.ndarray, theta_next: SampledFunction,
         )
     r = gamma.shape[1]
 
-    def evaluate(lam: complex) -> np.ndarray:
-        amb = f.basis @ theta_next(lam) @ adj(e.basis)
-        pencil = la.eye(r) + lam * adj(gamma) @ amb
-        return gamma + lam * dgs @ amb @ np.linalg.solve(pencil, dg)
+    def evaluate(pts: np.ndarray) -> np.ndarray:
+        lam = pts[:, None, None]
+        amb = f.basis @ theta_next.on(pts) @ adj(e.basis)
+        pencil = la.eye(r) + lam * (adj(gamma) @ amb)
+        return gamma + lam * (dgs @ amb @ la.solve_stack(pencil, dg))
 
     return SampledFunction(gamma.shape[1], gamma.shape[0], evaluate)
 
@@ -277,7 +302,7 @@ def schur_oracle(theta: SampledFunction, n_max: int,
 
     A step fails when a rank decision breaks down, typically on a parameter
     at the edge of contractivity; the run then ends with the failing step
-    in ``breakdown``.
+    in ``breakdown``.  The iterate after parameter ``n_max`` is not formed.
     """
     gammas: list[np.ndarray] = []
     doms = [la.eye(theta.in_dim)]
@@ -288,20 +313,21 @@ def schur_oracle(theta: SampledFunction, n_max: int,
     current = theta
     for n in range(n_max + 1):
         try:
-            gamma, nxt = oracle_step(current, tol)
+            if n == n_max:
+                gamma = current(0)
+                terminated = is_unitary_parameter(gamma, tol)
+            else:
+                gamma, nxt = oracle_step(current, tol)
         except UnitaryParameter:
-            gammas.append(current(0))
-            terminated = True
-            break
+            gamma, terminated = current(0), True
         except (SchurkitError, np.linalg.LinAlgError):
             breakdown = n
             break
         gammas.append(gamma)
-        if n == n_max:
+        if terminated or n == n_max:
             break
-        _, _, e, f = defect_data(gamma, tol)
-        doms.append(doms[-1] @ e.basis)
-        codoms.append(codoms[-1] @ f.basis)
+        doms.append(doms[-1] @ nxt.eval_fn.dom.basis)
+        codoms.append(codoms[-1] @ nxt.eval_fn.cod.basis)
         iterates.append(nxt)
         current = nxt
     params = ChoiceSequence(gammas, doms[: len(gammas)], codoms[: len(gammas)], terminated)
@@ -593,7 +619,7 @@ def verify_chain(chain: SchurChain, grid=None, tol: Tolerance | None = None) -> 
     the family blocks, so it certifies them rather than fits them.
     """
     tol = tol or chain.source.tol
-    pts = disk_grid() if grid is None else grid
+    pts = np.asarray(disk_grid() if grid is None else grid, dtype=complex)
     report = ChainReport()
     for name, thr in CHAIN_THRESHOLDS.items():
         report.thresholds[name] = thr
@@ -642,16 +668,17 @@ def verify_chain(chain: SchurChain, grid=None, tol: Tolerance | None = None) -> 
         omega = adj(seq.doms[n]) @ oracle.doms[n]
         psi = adj(seq.codoms[n]) @ oracle.codoms[n]
         theta_o = oracle.iterates[n]
-        aligned = SampledFunction(
-            omega.shape[0], psi.shape[0],
-            lambda lam, th=theta_o, ps=psi, om=omega: ps @ th(lam) @ adj(om),
-        )
-        transfers = [s.sampled() for s in family]
+        aligned = psi @ theta_o.on(pts) @ adj(omega)
+        try:
+            split = pure_part(psi @ theta_o(0) @ adj(omega), tol)
+        except SchurkitError:
+            split = None
+        transfers = [s.sampled().on(pts) for s in family]
         for k, s in enumerate(family):
             report.add("unitarity", f"{n},{k}", la.unitarity_residual(s.colligation()))
             report.add("transfer_oracle", f"{n},{k}", grid_distance(transfers[k], aligned, pts))
             try:
-                pure_resid = _pure_char_residual(s, aligned, pts, tol)
+                pure_resid = _pure_char_residual(s, split, aligned, pts, tol)
             except SchurkitError:
                 pure_resid = float("inf")
             report.add("pure_char", f"{n},{k}", pure_resid)
@@ -669,19 +696,21 @@ def verify_chain(chain: SchurChain, grid=None, tol: Tolerance | None = None) -> 
     return report
 
 
-def _pure_char_residual(s: DiscreteSystem, theta: SampledFunction, pts, tol: Tolerance) -> float:
-    """Pure part of ``theta`` against the characteristic function of the
-    adjoint of the state of ``s``, conjugated by the isometries that the
-    anchored parametrization of the colligation provides."""
+def _pure_char_residual(s: DiscreteSystem, split: PureSplit | None, theta: np.ndarray,
+                        pts: np.ndarray, tol: Tolerance) -> float:
+    """Pure part of the oracle iterate against the characteristic function
+    of the adjoint of the state of ``s``, conjugated by the isometries that
+    the anchored parametrization of the colligation provides.
+
+    ``theta`` is the iterate's stack on ``pts`` and ``split`` its pure split
+    at 0, None when that split failed.
+    """
     from .blockparam import decompose_kmx
 
+    if split is None:
+        return float("inf")
     kmx = decompose_kmx(s.block, tol)
     phi = char_function(Contraction(adj(s.a), tol))
-    split, pure = pure_part_function(theta, tol)
     ep, fp = split.dom_pure.basis, split.cod_pure.basis
-    resid = 0.0
-    for lam in pts:
-        lhs = pure(lam)
-        rhs = adj(fp) @ (kmx.k @ phi(lam) @ kmx.m) @ ep
-        resid = max(resid, la.matnorm_diff(lhs, rhs))
-    return resid
+    return la.stack_matnorm_diff(adj(fp) @ theta @ ep,
+                                 adj(fp) @ (kmx.k @ phi.on(pts) @ kmx.m) @ ep)

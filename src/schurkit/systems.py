@@ -6,11 +6,11 @@ A system tau = {[D C; B A]; input, output, state} evolves
 
 and is passive / isometric / co-isometric / conservative according to the
 class of its colligation matrix [D C; B A].  This module evaluates transfer
-functions on the open unit disk, runs the time-domain recursion, decides
-controllability / observability / simplicity, builds the characteristic
-colligation of a contraction, splits constants into pure and unitary parts,
-computes the defect functions of a simple conservative system, and searches
-for state-space unitary similarities.
+functions on arrays of points of the open unit disk, runs the time-domain
+recursion, decides controllability / observability / simplicity, builds the
+characteristic colligation of a contraction, splits constants into pure and
+unitary parts, computes the defect functions of a simple conservative
+system, and searches for state-space unitary similarities.
 """
 
 from __future__ import annotations
@@ -46,35 +46,51 @@ def disk_grid(radii: Sequence[float] = (0.3, 0.6, 0.9), n_angles: int = 8,
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """A matrix-valued function on the open unit disk."""
+    """A matrix-valued function on the open unit disk.
+
+    ``eval_fn`` maps a 1-D array of P points to the (P, out_dim, in_dim)
+    stack of values; it may return a read-only view.
+    """
 
     in_dim: int
     out_dim: int
-    eval_fn: Callable[[complex], np.ndarray]
+    eval_fn: Callable[[np.ndarray], np.ndarray]
+
+    def on(self, pts) -> np.ndarray:
+        """Values at a 1-D array of points as a (P, out_dim, in_dim) stack."""
+        pts = np.asarray(pts, dtype=complex)
+        if pts.ndim != 1:
+            raise ShapeMismatch(f"points must form a 1-D array, got shape {pts.shape}")
+        radius = float(np.max(np.abs(pts), initial=0.0))
+        if radius >= 1.0:
+            raise OutsideDisk(f"|lambda| = {radius:.6f} >= 1")
+        values = np.asarray(self.eval_fn(pts), dtype=complex)
+        want = (pts.shape[0], self.out_dim, self.in_dim)
+        if values.shape != want:
+            raise ShapeMismatch(f"evaluator returned shape {values.shape}, declared {want}")
+        return values
 
     def __call__(self, lam: complex) -> np.ndarray:
-        if abs(lam) >= 1.0:
-            raise OutsideDisk(f"|lambda| = {abs(lam):.6f} >= 1")
-        value = la.cmatrix(self.eval_fn(lam), rows=self.out_dim, cols=self.in_dim)
-        if value.shape != (self.out_dim, self.in_dim):
-            raise ShapeMismatch(
-                f"evaluator returned shape {value.shape}, declared {(self.out_dim, self.in_dim)}"
-            )
-        return value
+        """The value at one point, as a fresh matrix."""
+        return self.on([lam])[0].copy()
 
 
 def const_function(value: np.ndarray) -> SampledFunction:
     value = la.cmatrix(value)
-    return SampledFunction(value.shape[1], value.shape[0], lambda lam: value)
+    return SampledFunction(value.shape[1], value.shape[0],
+                           lambda pts: np.broadcast_to(value, (len(pts),) + value.shape))
 
 
-def grid_distance(f: SampledFunction, g: SampledFunction,
+def grid_distance(f: SampledFunction | np.ndarray, g: SampledFunction | np.ndarray,
                   grid: Sequence[complex] | None = None) -> float:
-    """Max spectral-norm deviation over the grid; inf on shape mismatch."""
-    if (f.in_dim, f.out_dim) != (g.in_dim, g.out_dim):
-        return float("inf")
+    """Max spectral-norm deviation over the grid; inf on shape mismatch.
+
+    ``f`` and ``g`` are functions, or their (P, out, in) stacks already
+    sampled on the grid.
+    """
     pts = disk_grid() if grid is None else grid
-    return max(la.matnorm_diff(f(lam), g(lam)) for lam in pts)
+    a, b = (x.on(pts) if isinstance(x, SampledFunction) else x for x in (f, g))
+    return la.stack_matnorm_diff(a, b)
 
 
 @dataclass(frozen=True)
@@ -147,17 +163,20 @@ class DiscreteSystem:
     def is_conservative(self) -> bool:
         return la.is_unitary(self.colligation(), self.tol)
 
-    def transfer(self, lam: complex) -> np.ndarray:
-        """Theta(lambda) = D + lambda C (I - lambda A)^{-1} B."""
-        if abs(lam) >= 1.0:
-            raise OutsideDisk(f"|lambda| = {abs(lam):.6f} >= 1")
-        if self.state_dim == 0:
-            return self.d.copy()
-        resolvent = np.linalg.solve(la.eye(self.state_dim) - lam * self.a, self.b)
-        return self.d + lam * (self.c @ resolvent)
+    def transfer(self, lam) -> np.ndarray:
+        """Theta(lambda) = D + lambda C (I - lambda A)^{-1} B at one point,
+        or the (P, out, in) stack over a 1-D array of points."""
+        f = self.sampled()
+        return f(lam) if np.ndim(lam) == 0 else f.on(lam)
 
     def sampled(self) -> SampledFunction:
-        return SampledFunction(self.in_dim, self.out_dim, self.transfer)
+        return SampledFunction(self.in_dim, self.out_dim, self._transfer_stack)
+
+    def _transfer_stack(self, pts: np.ndarray) -> np.ndarray:
+        """One stacked solve of I - lambda A over all points."""
+        lam = pts[:, None, None]
+        resolvent = la.solve_stack(la.eye(self.state_dim) - lam * self.a, self.b)
+        return self.d + lam * (self.c @ resolvent)
 
     def simulate(self, inputs: Sequence[np.ndarray], h0=None):
         """Run the recursion; returns (states, outputs) with len(states) =
@@ -262,8 +281,9 @@ def char_function(a: Contraction) -> SampledFunction:
     v = a.defect_astar.basis
     d = a.dim
 
-    def evaluate(lam: complex) -> np.ndarray:
-        core = -a.a + lam * (a.d_astar @ np.linalg.solve(la.eye(d) - lam * adj(a.a), a.d_a))
+    def evaluate(pts: np.ndarray) -> np.ndarray:
+        lam = pts[:, None, None]
+        core = -a.a + lam * (a.d_astar @ la.solve_stack(la.eye(d) - lam * adj(a.a), a.d_a))
         return adj(v) @ core @ u
 
     return SampledFunction(a.defect_a.dim, a.defect_astar.dim, evaluate)
@@ -315,8 +335,8 @@ def pure_part_function(f: SampledFunction, tol: Tolerance = DEFAULT_TOL):
     split = pure_part(f(0), tol)
     ep, fp = split.dom_pure.basis, split.cod_pure.basis
 
-    def evaluate(lam: complex) -> np.ndarray:
-        return adj(fp) @ f(lam) @ ep
+    def evaluate(pts: np.ndarray) -> np.ndarray:
+        return adj(fp) @ f.on(pts) @ ep
 
     return split, SampledFunction(split.dom_pure.dim, split.cod_pure.dim, evaluate)
 
@@ -356,11 +376,14 @@ def defect_functions(sys: DiscreteSystem, require_simple: bool = True) -> Defect
         ctrl_perp, la.kernel_basis(adj(adj(sys.a) @ ctrl_perp.basis), tol), tol
     )
 
-    def phi_eval(lam: complex) -> np.ndarray:
-        return adj(omega.basis) @ np.linalg.solve(la.eye(d) - lam * sys.a, sys.b)
+    def resolvent(pts: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        return la.solve_stack(la.eye(d) - pts[:, None, None] * sys.a, rhs)
 
-    def psi_eval(lam: complex) -> np.ndarray:
-        return sys.c @ np.linalg.solve(la.eye(d) - lam * sys.a, omega_star.basis)
+    def phi_eval(pts: np.ndarray) -> np.ndarray:
+        return adj(omega.basis) @ resolvent(pts, sys.b)
+
+    def psi_eval(pts: np.ndarray) -> np.ndarray:
+        return sys.c @ resolvent(pts, omega_star.basis)
 
     return DefectFunctions(
         SampledFunction(sys.in_dim, omega.dim, phi_eval),
