@@ -73,8 +73,8 @@ def is_unitary_parameter(g: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
 # the truncation error is below _LIMIT_RADIUS**_LIMIT_POINTS ~ 1e-16.
 _LIMIT_RADIUS = 0.4
 _LIMIT_POINTS = 40
-_LIMIT_CIRCLE = _LIMIT_RADIUS * np.exp(1j * (2.0 * np.pi * np.arange(_LIMIT_POINTS)
-                                              / _LIMIT_POINTS))
+_LIMIT_ANGLES = 2.0 * np.pi * np.arange(_LIMIT_POINTS) / _LIMIT_POINTS
+_LIMIT_CIRCLE = _LIMIT_RADIUS * np.exp(1j * _LIMIT_ANGLES)
 
 
 class _DividedEvaluator:
@@ -87,7 +87,8 @@ class _DividedEvaluator:
     when dividing, the Cauchy mean over the quadrature circle, computed once.
     The evaluator keeps the stack of the last point array it evaluated, so
     a chain of iterates sampled level by level on one grid samples each
-    level once.
+    level once; points that are all 0 are answered from the value at 0 and
+    leave the kept stack in place.
     """
 
     def __init__(self, theta: SampledFunction, gamma: np.ndarray, tol: Tolerance,

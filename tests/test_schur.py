@@ -335,11 +335,12 @@ class TestVerifyChain:
         report = verify_chain(chain)
         assert f"gamma[{step}]" in report.residuals
         assert report.ok, report.failures()
+        assert report.thresholds["oracle_breakdown"] == CHAIN_THRESHOLDS["oracle_breakdown"]
 
     def test_solve_count_grows_with_depth_only(self, monkeypatch):
         # each oracle iterate is sampled once per point array, so the
         # solves grow with the chain depth, not depth x members x groups
-        # (evaluating point by point took about 26,000 here; now 140)
+        # (point by point this chain takes about 26,000 solves, by grid 140)
         chain = build_chain(random_conservative_system(10, 1, np.random.default_rng(1)))
         solve = np.linalg.solve
         calls = []
