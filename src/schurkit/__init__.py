@@ -17,7 +17,6 @@ from .blockparam import (
     block_matrix,
     decompose_fgl,
     decompose_kmx,
-    defect_data,
     fgl_params,
     iso_criteria,
     kmx_params,

@@ -15,13 +15,14 @@ anchored at D, and the Shmul'yan fractional-linear transform of a single
 contraction.
 
 Parameter matrices are always expressed in the orthonormal defect bases
-computed by :func:`defect_data`; ambient versions are obtained by
-conjugating with those bases.
+computed by :func:`~schurkit.linalg.defect_of`; ambient versions are
+obtained by conjugating with those bases.  The (F, G, L) form is computed
+as the (K, M, X) form of the block matrix with D and A exchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -82,18 +83,6 @@ def split_blocks(t: np.ndarray, out_dim: int, in_dim: int) -> BlockMatrix:
     )
 
 
-def defect_data(g: np.ndarray, tol: Tolerance = DEFAULT_TOL):
-    """Defect operators and defect-space bases of a contraction ``g``.
-
-    Returns ``(D_g, D_g*, E, F)`` where E spans ran D_g in the domain and
-    F spans ran D_g* in the codomain.
-    """
-    g = la.cmatrix(g)
-    dd = la.defect_of(g, tol)
-    dds = la.defect_of(g, tol, adjoint=True)
-    return dd.op, dds.op, dd.space, dds.space
-
-
 @dataclass(frozen=True)
 class KMXParams:
     """Parameters anchored at the state block A.
@@ -133,22 +122,46 @@ def _require_contraction(m: np.ndarray, name: str, tol: Tolerance):
         raise NotContraction(f"{name} has norm {la.opnorm(m):.6f} > 1")
 
 
-def kmx_params(a, k, m, x, tol: Tolerance = DEFAULT_TOL) -> KMXParams:
-    """Validate raw (A, K, M, X) matrices and attach their defect bases."""
+# Names the error messages give to (anchor, left, right, coupling) and to
+# the block the coupling reproduces.  The FGL form is the KMX form of the
+# swapped block [A B; C D], reported under its own names.
+_KMX_NAMES = ("A", "K", "M", "X", "feedthrough")
+_FGL_NAMES = ("D", "F", "G", "L", "state")
+
+
+def _swap(t: BlockMatrix) -> BlockMatrix:
+    """[D C; B A] -> [A B; C D]: exchanges the roles of D and A."""
+    return BlockMatrix(t.a, t.b, t.c, t.d)
+
+
+def _mirror(p, cls):
+    """The same eight fields as a KMXParams or an FGLParams."""
+    return cls(*(getattr(p, f.name) for f in fields(p)))
+
+
+def _params(a, k, m, x, tol: Tolerance, names) -> KMXParams:
     a, k, m, x = map(la.cmatrix, (a, k, m, x))
-    for mat, name in ((a, "A"), (k, "K"), (m, "M"), (x, "X")):
+    na, nk, nm, nx, _ = names
+    for mat, name in ((a, na), (k, nk), (m, nm), (x, nx)):
         _require_contraction(mat, name, tol)
     ua = la.defect_of(a, tol).space
     uas = la.defect_of(a, tol, adjoint=True).space
     if k.shape[1] != ua.dim:
-        raise ShapeMismatch(f"K has {k.shape[1]} columns, defect space of A has dim {ua.dim}")
+        raise ShapeMismatch(f"{nk} has {k.shape[1]} columns, defect space of {na} has dim "
+                            f"{ua.dim}")
     if m.shape[0] != uas.dim:
-        raise ShapeMismatch(f"M has {m.shape[0]} rows, defect space of A* has dim {uas.dim}")
+        raise ShapeMismatch(f"{nm} has {m.shape[0]} rows, defect space of {na}* has dim "
+                            f"{uas.dim}")
     em = la.defect_of(m, tol).space
     fk = la.defect_of(k, tol, adjoint=True).space
     if x.shape != (fk.dim, em.dim):
-        raise ShapeMismatch(f"X has shape {x.shape}, expected {(fk.dim, em.dim)}")
+        raise ShapeMismatch(f"{nx} has shape {x.shape}, expected {(fk.dim, em.dim)}")
     return KMXParams(a, k, m, x, ua, uas, em, fk)
+
+
+def kmx_params(a, k, m, x, tol: Tolerance = DEFAULT_TOL) -> KMXParams:
+    """Validate raw (A, K, M, X) matrices and attach their defect bases."""
+    return _params(a, k, m, x, tol, _KMX_NAMES)
 
 
 def assemble_kmx(p: KMXParams, tol: Tolerance = DEFAULT_TOL) -> BlockMatrix:
@@ -168,9 +181,7 @@ def assemble_kmx(p: KMXParams, tol: Tolerance = DEFAULT_TOL) -> BlockMatrix:
     return t
 
 
-def decompose_kmx(t: BlockMatrix, tol: Tolerance = DEFAULT_TOL) -> KMXParams:
-    """Recover (K, M, X) from a contraction; pseudo-inverses implement the
-    restriction to the defect spaces."""
+def _decompose(t: BlockMatrix, tol: Tolerance, names) -> KMXParams:
     _require_contraction(t.assemble(), "block matrix", tol)
     a = t.a
     da = la.defect_of(a, tol)
@@ -185,63 +196,29 @@ def decompose_kmx(t: BlockMatrix, tol: Tolerance = DEFAULT_TOL) -> KMXParams:
     x = adj(fk.basis) @ dks.op_pinv @ resid @ dm.op_pinv @ em.basis
     x_amb = fk.basis @ x @ adj(em.basis)
     if la.matnorm_diff(dks.op @ x_amb @ dm.op, resid) > tol.eq_abs:
-        raise NotContraction("no contractive X reproduces the feedthrough block")
+        raise NotContraction(f"no contractive {names[3]} reproduces the {names[4]} block")
     return KMXParams(a, k, m, x, ua, uas, em, fk)
+
+
+def decompose_kmx(t: BlockMatrix, tol: Tolerance = DEFAULT_TOL) -> KMXParams:
+    """Recover (K, M, X) from a contraction; pseudo-inverses implement the
+    restriction to the defect spaces."""
+    return _decompose(t, tol, _KMX_NAMES)
 
 
 def fgl_params(d, f, g, l, tol: Tolerance = DEFAULT_TOL) -> FGLParams:
     """Validate raw (D, F, G, L) matrices and attach their defect bases."""
-    d, f, g, l = map(la.cmatrix, (d, f, g, l))
-    for mat, name in ((d, "D"), (f, "F"), (g, "G"), (l, "L")):
-        _require_contraction(mat, name, tol)
-    ed = la.defect_of(d, tol).space
-    fds = la.defect_of(d, tol, adjoint=True).space
-    if f.shape[1] != ed.dim:
-        raise ShapeMismatch(f"F has {f.shape[1]} columns, defect space of D has dim {ed.dim}")
-    if g.shape[0] != fds.dim:
-        raise ShapeMismatch(f"G has {g.shape[0]} rows, defect space of D* has dim {fds.dim}")
-    eg = la.defect_of(g, tol).space
-    ffs = la.defect_of(f, tol, adjoint=True).space
-    if l.shape != (ffs.dim, eg.dim):
-        raise ShapeMismatch(f"L has shape {l.shape}, expected {(ffs.dim, eg.dim)}")
-    return FGLParams(d, f, g, l, ed, fds, eg, ffs)
+    return _mirror(_params(d, f, g, l, tol, _FGL_NAMES), FGLParams)
 
 
 def assemble_fgl(p: FGLParams, tol: Tolerance = DEFAULT_TOL) -> BlockMatrix:
     """Build the contraction determined by (D, F, G, L)."""
-    dd = la.defect_of(p.d, tol).op
-    dds = la.defect_of(p.d, tol, adjoint=True).op
-    ed, fds = p.dd_basis.basis, p.ddstar_basis.basis
-    b = p.f @ (adj(ed) @ dd)
-    c = dds @ (fds @ p.g)
-    dstar_restr = adj(ed) @ adj(p.d) @ fds
-    dg = la.defect_of(p.g, tol).op
-    dfs = la.defect_of(p.f, tol, adjoint=True).op
-    l_amb = p.dfstar_basis.basis @ p.l @ adj(p.dg_basis.basis)
-    a = -p.f @ dstar_restr @ p.g + dfs @ l_amb @ dg
-    t = BlockMatrix(p.d, c, b, a)
-    _require_contraction(t.assemble(), "assembled block matrix", tol)
-    return t
+    return _swap(assemble_kmx(_mirror(p, KMXParams), tol))
 
 
 def decompose_fgl(t: BlockMatrix, tol: Tolerance = DEFAULT_TOL) -> FGLParams:
     """Recover (F, G, L) from a contraction."""
-    _require_contraction(t.assemble(), "block matrix", tol)
-    d = t.d
-    dd = la.defect_of(d, tol)
-    dds = la.defect_of(d, tol, adjoint=True)
-    ed, fds = dd.space, dds.space
-    f = t.b @ dd.op_pinv @ ed.basis
-    g = adj(fds.basis) @ dds.op_pinv @ t.c
-    resid = t.a + f @ (adj(ed.basis) @ adj(d) @ fds.basis) @ g
-    dg = la.defect_of(g, tol)
-    dfs = la.defect_of(f, tol, adjoint=True)
-    eg, ffs = dg.space, dfs.space
-    l = adj(ffs.basis) @ dfs.op_pinv @ resid @ dg.op_pinv @ eg.basis
-    l_amb = ffs.basis @ l @ adj(eg.basis)
-    if la.matnorm_diff(dfs.op @ l_amb @ dg.op, resid) > tol.eq_abs:
-        raise NotContraction("no contractive L reproduces the state block")
-    return FGLParams(d, f, g, l, ed, fds, eg, ffs)
+    return _mirror(_decompose(_swap(t), tol, _FGL_NAMES), FGLParams)
 
 
 @dataclass(frozen=True)
@@ -338,7 +315,9 @@ def moebius_map(d: np.ndarray, q: BlockMatrix, tol: Tolerance = DEFAULT_TOL) -> 
     """
     d = la.cmatrix(d)
     _require_contraction(d, "D", tol)
-    dd, dds, ed, fds = defect_data(d, tol)
+    dd = la.defect_of(d, tol)
+    dds = la.defect_of(d, tol, adjoint=True)
+    ed, fds = dd.space, dds.space
     if q.in_dim != ed.dim or q.out_dim != fds.dim:
         raise ShapeMismatch(
             f"Q acts on spaces of dim {(q.out_dim, q.in_dim)}, defects of D have "
@@ -346,8 +325,8 @@ def moebius_map(d: np.ndarray, q: BlockMatrix, tol: Tolerance = DEFAULT_TOL) -> 
         )
     if la.opnorm(q.d) > tol.eq_abs:
         raise ShapeMismatch("upper-left block of Q must vanish")
-    c = dds @ fds.basis @ q.c
-    b = q.b @ (adj(ed.basis) @ dd)
+    c = dds.op @ fds.basis @ q.c
+    b = q.b @ (adj(ed.basis) @ dd.op)
     dstar_restr = adj(ed.basis) @ adj(d) @ fds.basis
     a = q.a - q.b @ dstar_restr @ q.c
     return BlockMatrix(d, c, b, a)

@@ -102,14 +102,18 @@ def _classification_json(sys: DiscreteSystem) -> dict:
     return sys.classify().as_dict()
 
 
+def _iterates_json(chain) -> list:
+    return [
+        [serialize.system_to_json(s, s.classify().as_dict()) for s in family]
+        for family in chain.families
+    ]
+
+
 def _chain_json(chain, report) -> dict:
     return {
         "gammas": [la.matrix_to_json(g) for g in chain.params.gammas],
         "h_dims": [s.dim for s in chain.h_chain],
-        "iterates": [
-            [serialize.system_to_json(s, s.classify().as_dict()) for s in family]
-            for family in chain.families
-        ],
+        "iterates": _iterates_json(chain),
         "terminated": chain.params.terminated,
         "residuals": dict(sorted(report.residuals.items())),
     }
@@ -147,10 +151,7 @@ def _run_realize(cmd: Command) -> int:
     out = {
         "h_dims": [s.dim for s in chain.h_chain],
         "terminated": chain.params.terminated,
-        "iterates": [
-            [serialize.system_to_json(s, s.classify().as_dict()) for s in family]
-            for family in chain.families
-        ],
+        "iterates": _iterates_json(chain),
     }
     _emit(cmd, serialize.dumps(out))
     return EXIT_OK

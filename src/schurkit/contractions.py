@@ -42,8 +42,12 @@ class DefectProfile:
 class Contraction:
     """A square contraction with cached defect data.
 
-    Immutable after construction; per-(n, m) subspaces and compressions are
-    memoized so that "the stored basis" is a well-defined notion.
+    ``defect_data`` and ``defect_data_star`` hold the decompositions of D_A
+    and D_A* (operator, pseudo-inverse, defect space and kernel); ``d_a``,
+    ``d_astar``, ``defect_a`` and ``defect_astar`` are their operators and
+    defect spaces.  Immutable after construction; per-(n, m) subspaces and
+    compressions are memoized so that "the stored basis" is a well-defined
+    notion.
     """
 
     def __init__(self, a, tol: Tolerance = DEFAULT_TOL):
@@ -55,12 +59,12 @@ class Contraction:
         self.a = a
         self.tol = tol
         self.dim = a.shape[0]
-        defect_data = la.defect_of(a, tol)
-        defect_data_star = la.defect_of(a, tol, adjoint=True)
-        self.d_a = defect_data.op
-        self.d_astar = defect_data_star.op
-        self.defect_a = defect_data.space
-        self.defect_astar = defect_data_star.space
+        self.defect_data = la.defect_of(a, tol)
+        self.defect_data_star = la.defect_of(a, tol, adjoint=True)
+        self.d_a = self.defect_data.op
+        self.d_astar = self.defect_data_star.op
+        self.defect_a = self.defect_data.space
+        self.defect_astar = self.defect_data_star.space
         self._powers: dict[int, np.ndarray] = {0: la.eye(self.dim), 1: a}
         self._h_cache: dict[tuple[int, int], SubspacePair] = {}
         self._kernel_cache: dict[tuple[str, int], Subspace] = {}

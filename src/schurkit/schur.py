@@ -11,7 +11,7 @@ on the state spaces H(n-k, k).  The two routes are tied together by
 and reports residuals.
 
 All parameter matrices are expressed in orthonormal defect bases produced
-by :func:`~schurkit.blockparam.defect_data`; the ``doms``/``codoms`` lists
+by :func:`~schurkit.linalg.defect_of`; the ``doms``/``codoms`` lists
 record those bases as absolute subspaces of the original input and output
 spaces so that quantities computed on different sides stay comparable.
 """
@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg as la
-from .blockparam import defect_data
 from .contractions import Contraction
 from .errors import (
     InvalidSequence,
@@ -175,7 +174,9 @@ def moebius_compose(gamma: np.ndarray, theta_next: SampledFunction,
     gamma = la.cmatrix(gamma)
     if not la.is_contraction(gamma, tol):
         raise NotContraction("Schur parameter must be a contraction")
-    dg, dgs, e, f = defect_data(gamma, tol)
+    dd = la.defect_of(gamma, tol)
+    dds = la.defect_of(gamma, tol, adjoint=True)
+    e, f = dd.space, dds.space
     if (theta_next.in_dim, theta_next.out_dim) != (e.dim, f.dim):
         from .errors import ShapeMismatch
 
@@ -189,7 +190,7 @@ def moebius_compose(gamma: np.ndarray, theta_next: SampledFunction,
         lam = pts[:, None, None]
         amb = f.basis @ theta_next.on(pts) @ adj(e.basis)
         pencil = la.eye(r) + lam * (adj(gamma) @ amb)
-        return gamma + lam * (dgs @ amb @ la.solve_stack(pencil, dg))
+        return gamma + lam * (dds.op @ amb @ la.solve_stack(pencil, dd.op))
 
     return SampledFunction(gamma.shape[1], gamma.shape[0], evaluate)
 
@@ -230,7 +231,8 @@ class ChoiceSequence:
             if not la.is_contraction(g, tol):
                 raise InvalidSequence(f"parameter {n} has norm > 1")
             if n > 0:
-                _, _, e, f = defect_data(self.gammas[n - 1], tol)
+                e = la.defect_of(self.gammas[n - 1], tol).space
+                f = la.defect_of(self.gammas[n - 1], tol, adjoint=True).space
                 if g.shape != (f.dim, e.dim):
                     raise InvalidSequence(
                         f"parameter {n} has shape {g.shape}, defect spaces of the "
@@ -244,8 +246,8 @@ def choice_sequence(gammas, terminated: bool, tol: Tolerance = DEFAULT_TOL) -> C
     """Build a :class:`ChoiceSequence` from raw parameter matrices.
 
     Each ``gammas[n]`` (n >= 1) must already be expressed in the defect
-    bases that :func:`~schurkit.blockparam.defect_data` assigns to
-    ``gammas[n-1]``; the absolute bases are accumulated here.
+    bases that :func:`~schurkit.linalg.defect_of` assigns to ``gammas[n-1]``
+    and its adjoint; the absolute bases are accumulated here.
     """
     gammas = [la.cmatrix(g) for g in gammas]
     if not gammas:
@@ -253,9 +255,8 @@ def choice_sequence(gammas, terminated: bool, tol: Tolerance = DEFAULT_TOL) -> C
     doms = [la.eye(gammas[0].shape[1])]
     codoms = [la.eye(gammas[0].shape[0])]
     for n in range(1, len(gammas)):
-        _, _, e, f = defect_data(gammas[n - 1], tol)
-        doms.append(doms[-1] @ e.basis)
-        codoms.append(codoms[-1] @ f.basis)
+        doms.append(doms[-1] @ la.defect_of(gammas[n - 1], tol).space.basis)
+        codoms.append(codoms[-1] @ la.defect_of(gammas[n - 1], tol, adjoint=True).space.basis)
     seq = ChoiceSequence(gammas, doms, codoms, terminated)
     seq.validate(tol)
     return seq
@@ -272,7 +273,8 @@ def reconstruct(seq: ChoiceSequence, tol: Tolerance = DEFAULT_TOL) -> SampledFun
         current = const_function(seq.gammas[-1])
         start = len(seq.gammas) - 2
     else:
-        _, _, e, f = defect_data(seq.gammas[-1], tol)
+        e = la.defect_of(seq.gammas[-1], tol).space
+        f = la.defect_of(seq.gammas[-1], tol, adjoint=True).space
         current = const_function(la.zeros(f.dim, e.dim))
         start = len(seq.gammas) - 1
     for n in range(start, -1, -1):
@@ -351,8 +353,8 @@ class _RealizationChain:
         M_n = D^{-1}(Gamma_{n-1}) ... D^{-1}(Gamma_0)   on the input side,
         N_n = D^{-1}(Gamma*_{n-1}) ... D^{-1}(Gamma*_0) on the output side,
 
-    expressed in the accumulated defect bases, together with the absolute
-    bases themselves.  Gamma_n is then
+    expressed in the accumulated defect bases (M_0 and N_0 are identities),
+    together with the absolute bases themselves.  Gamma_n is then
 
         N_n C A^{n-1} W (M_n B* W)*   with W a basis of H(n-1, 0).
     """
@@ -365,17 +367,18 @@ class _RealizationChain:
         self.gammas: list[np.ndarray] = [sys.d.copy()]
         self.doms: list[np.ndarray] = [la.eye(sys.in_dim)]
         self.codoms: list[np.ndarray] = [la.eye(sys.out_dim)]
-        self.m_chains: list[np.ndarray | None] = [None]
-        self.n_chains: list[np.ndarray | None] = [None]
+        self.m_chains: list[np.ndarray] = [la.eye(sys.in_dim)]
+        self.n_chains: list[np.ndarray] = [la.eye(sys.out_dim)]
         self.terminated = is_unitary_parameter(sys.d, tol)
         if not self.terminated:
-            self._push_defect_step(sys.d, la.eye(sys.in_dim), la.eye(sys.out_dim))
+            self._push_defect_step(la.defect_of(sys.d, tol),
+                                   la.defect_of(sys.d, tol, adjoint=True))
 
-    def _push_defect_step(self, gamma, m_prev, n_prev):
-        dd = la.defect_of(gamma, self.tol)
-        dds = la.defect_of(gamma, self.tol, adjoint=True)
-        self.m_chains.append(adj(dd.space.basis) @ dd.op_pinv @ m_prev)
-        self.n_chains.append(adj(dds.space.basis) @ dds.op_pinv @ n_prev)
+    def _push_defect_step(self, dd: la.DefectData, dds: la.DefectData):
+        """Extend the chains and bases by the defect data of the last
+        parameter, D(Gamma_n) in ``dd`` and D(Gamma*_n) in ``dds``."""
+        self.m_chains.append(adj(dd.space.basis) @ dd.op_pinv @ self.m_chains[-1])
+        self.n_chains.append(adj(dds.space.basis) @ dds.op_pinv @ self.n_chains[-1])
         self.doms.append(self.doms[-1] @ dd.space.basis)
         self.codoms.append(self.codoms[-1] @ dds.space.basis)
 
@@ -396,13 +399,15 @@ class _RealizationChain:
                 self.doms = self.doms[: n + 1]
                 self.codoms = self.codoms[: n + 1]
                 return
-            self._check_range_inclusions(n, gamma)
-            self._push_defect_step(gamma, self.m_chains[n], self.n_chains[n])
+            dd = la.defect_of(gamma, self.tol)
+            dds = la.defect_of(gamma, self.tol, adjoint=True)
+            self._check_range_inclusions(n, dd, dds)
+            self._push_defect_step(dd, dds)
 
-    def _check_range_inclusions(self, n: int, gamma: np.ndarray):
+    def _check_range_inclusions(self, n: int, dd: la.DefectData, dds: la.DefectData):
         """ran(M_n B* on H(n,0)) must lie in ran D(Gamma_n); likewise the
         output chain applied to C on H(0,n) in ran D(Gamma*_n)."""
-        _, _, e, f = defect_data(gamma, self.tol)
+        e, f = dd.space, dds.space
         w_n0 = self.state.h_subspace(n, 0).space.basis
         w_0n = self.state.h_subspace(0, n).space.basis
         x = self.m_chains[n] @ adj(self.sys.b) @ w_n0
@@ -473,7 +478,7 @@ def first_iterate_systems(sys: DiscreteSystem, tol: Tolerance | None = None):
     state = Contraction(sys.a, tol)
     w10 = state.h_subspace(1, 0).space.basis
     w01 = state.h_subspace(0, 1).space.basis
-    dastar_pinv = la.defect_of(sys.a, tol, adjoint=True).op_pinv
+    dastar_pinv = state.defect_data_star.op_pinv
     c_chain = adj(f0.basis) @ d0s.op_pinv @ sys.c
     b_chain = dastar_pinv @ sys.b @ e0.basis
     nu = discrete_system(
@@ -704,14 +709,19 @@ def _pure_char_residual(s: DiscreteSystem, split: PureSplit | None, theta: np.nd
     the anchored parametrization of the colligation provides.
 
     ``theta`` is the iterate's stack on ``pts`` and ``split`` its pure split
-    at 0, None when that split failed.
+    at 0, None when that split failed; the residual is inf then, and when
+    the colligation of ``s`` is no contraction.  K = C D_A^+ U_A and
+    M = U_A*^* D_A*^+ B come from the defect data of A* that the
+    characteristic function holds: the defect of A is the adjoint defect
+    of A*, and the reverse.
     """
-    from .blockparam import decompose_kmx
-
-    if split is None:
+    if split is None or not la.is_contraction(s.colligation(), tol):
         return float("inf")
-    kmx = decompose_kmx(s.block, tol)
-    phi = char_function(Contraction(adj(s.a), tol))
+    state_star = Contraction(adj(s.a), tol)
+    d_a, d_astar = state_star.defect_data_star, state_star.defect_data
+    k = s.c @ d_a.op_pinv @ d_a.space.basis
+    m = adj(d_astar.space.basis) @ d_astar.op_pinv @ s.b
+    phi = char_function(state_star)
     ep, fp = split.dom_pure.basis, split.cod_pure.basis
     return la.stack_matnorm_diff(adj(fp) @ theta @ ep,
-                                 adj(fp) @ (kmx.k @ phi.on(pts) @ kmx.m) @ ep)
+                                 adj(fp) @ (k @ phi.on(pts) @ m) @ ep)

@@ -25,7 +25,6 @@ from schurkit.blockparam import (
     assemble_kmx,
     decompose_fgl,
     decompose_kmx,
-    defect_data,
     iso_criteria,
     shmulyan_transform,
     split_blocks,
@@ -193,7 +192,9 @@ def test_criterion_5_moebius_parameter_of_char_function():
         z = moebius_parameter(char_function(a))
         cal = Contraction(a.a @ a.h_subspace(1, 0).space.projector())
         psi = char_function(cal)
-        _, _, e0, f0 = defect_data(char_function(a)(0))
+        theta0 = char_function(a)(0)
+        e0 = la.defect_of(theta0).space
+        f0 = la.defect_of(theta0, adjoint=True).space
         om = adj(cal.defect_a.basis) @ (a.defect_a.basis @ e0.basis)
         ps = adj(cal.defect_astar.basis) @ (a.defect_astar.basis @ f0.basis)
         for lam in GRID:

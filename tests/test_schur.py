@@ -25,7 +25,7 @@ from schurkit import (
     unitarily_similar,
 )
 from schurkit import schur as schur_mod
-from schurkit.blockparam import defect_data
+from schurkit.blockparam import decompose_kmx
 from schurkit.errors import SchurkitError, Terminated, UnitaryParameter, UnitaryTheta0
 from schurkit.linalg import adj
 from schurkit.schur import (
@@ -120,7 +120,7 @@ class TestMoebiusParameter:
 class TestMoebiusCompose:
     def test_zero_iterate(self, rng):
         gamma = 0.6 * la.haar_unitary(2, rng)
-        _, _, e, f = defect_data(gamma)
+        e, f = la.defect_of(gamma).space, la.defect_of(gamma, adjoint=True).space
         theta = moebius_compose(gamma, const_function(la.zeros(f.dim, e.dim)))
         for lam in GRID:
             assert la.matnorm_diff(theta(lam), gamma) <= 1e-12
@@ -353,6 +353,56 @@ class TestVerifyChain:
         assert verify_chain(chain).ok
         assert len(calls) < 1000
 
+    def test_defect_decompositions_stay_within_budget(self, monkeypatch):
+        # each parameter is decomposed once for the chain and each member's
+        # state once for its pure_char isometries (445 decompositions when
+        # every call site decomposed again, 211 now)
+        sys = random_conservative_system(10, 1, np.random.default_rng(1))
+        defect_of = la.defect_of
+        calls = []
+
+        def counting_defect_of(*args, **kwargs):
+            calls.append(1)
+            return defect_of(*args, **kwargs)
+
+        monkeypatch.setattr(la, "defect_of", counting_defect_of)
+        assert verify_chain(build_chain(sys)).ok
+        assert len(calls) < 300
+
+    @pytest.mark.parametrize("state_dim, io_dim", [(6, 2), (8, 1)])
+    def test_pure_char_matches_kmx_reference(self, monkeypatch, state_dim, io_dim):
+        # every pure_char residual equals its definition through the KMX
+        # parameters of the member's colligation; a member scaled by 1.01
+        # has a contractive state but no contractive colligation: inf
+        sys = random_conservative_system(state_dim, io_dim, np.random.default_rng(1))
+        chain = build_chain(sys)
+        family = [list(f) for f in chain.families]
+        victim = family[-1][0]
+        assert 1.01 * la.opnorm(victim.a) < 1
+        family[-1][0] = discrete_system(*(1.01 * blk for blk in (victim.d, victim.c,
+                                                                  victim.b, victim.a)))
+        residual = schur_mod._pure_char_residual
+        expected = []
+
+        def with_reference(s, split, theta, pts, tol):
+            try:
+                kmx = decompose_kmx(s.block, tol)
+                phi = char_function(Contraction(adj(s.a), tol))
+                ep, fp = split.dom_pure.basis, split.cod_pure.basis
+                expected.append(la.stack_matnorm_diff(
+                    adj(fp) @ theta @ ep, adj(fp) @ (kmx.k @ phi.on(pts) @ kmx.m) @ ep))
+            except SchurkitError:
+                expected.append(float("inf"))
+            return residual(s, split, theta, pts, tol)
+
+        monkeypatch.setattr(schur_mod, "_pure_char_residual", with_reference)
+        report = verify_chain(dataclasses.replace(chain, families=family))
+        reported = [v for k, v in report.residuals.items() if k.startswith("pure_char[")]
+        assert len(reported) == sum(len(f) for f in family)
+        assert reported == expected
+        assert report.residuals[f"pure_char[{len(family)},0]"] == float("inf")
+        assert reported.count(float("inf")) == 1
+
     def test_family_at_breakdown_step_is_compared(self, monkeypatch, rng):
         # a breakdown at step 2 leaves iterate 2 formed but without its
         # parameter: family 2 is still compared against it
@@ -449,7 +499,9 @@ class TestCharFunctionMoebius:
             ker = a.h_subspace(1, 0).space
             cal = Contraction(a.a @ ker.projector())
             psi = char_function(cal)
-            _, _, e0, f0 = defect_data(char_function(a)(0))
+            theta0 = char_function(a)(0)
+            e0 = la.defect_of(theta0).space
+            f0 = la.defect_of(theta0, adjoint=True).space
             dom_abs = a.defect_a.basis @ e0.basis
             cod_abs = a.defect_astar.basis @ f0.basis
             om = adj(cal.defect_a.basis) @ dom_abs
