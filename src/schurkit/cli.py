@@ -87,19 +87,22 @@ def _emit(cmd: Command, text: str):
         Path(cmd.output_path).write_text(text)
 
 
-def _defect_profile_json(sys: DiscreteSystem, n_max: int | None):
-    if sys.state_dim == 0:
+def _state_of(sys: DiscreteSystem) -> Contraction | None:
+    """One Contraction of the state, shared by the classification and the
+    defect profile; None for a zero-dimensional state."""
+    return Contraction(sys.a, sys.tol) if sys.state_dim else None
+
+
+def _defect_profile_json(state: Contraction | None, n_max: int | None):
+    if state is None or not state.is_cnu():
         return None
-    state = Contraction(sys.a, sys.tol)
-    if not state.is_cnu():
-        return None
-    depth = sys.state_dim if n_max is None else n_max
+    depth = state.dim if n_max is None else n_max
     profile = state.defect_profile(depth)
     return {"delta": profile.delta, "delta_star": profile.delta_star}
 
 
-def _classification_json(sys: DiscreteSystem) -> dict:
-    return sys.classify().as_dict()
+def _classification_json(sys: DiscreteSystem, state: Contraction | None = None) -> dict:
+    return sys.classify(state).as_dict()
 
 
 def _iterates_json(chain) -> list:
@@ -121,11 +124,12 @@ def _chain_json(chain, report) -> dict:
 
 def _run_analyze(cmd: Command) -> int:
     system = _load_system(cmd)
+    state = _state_of(system)
     out = {
         "dims": {"input": system.in_dim, "output": system.out_dim,
                  "state": system.state_dim},
-        "classification": _classification_json(system),
-        "defect_profile": _defect_profile_json(system, cmd.n_max),
+        "classification": _classification_json(system, state),
+        "defect_profile": _defect_profile_json(state, cmd.n_max),
     }
     _emit(cmd, serialize.dumps(out))
     return EXIT_OK
@@ -173,9 +177,10 @@ def _run_verify(cmd: Command) -> int:
         _emit(cmd, serialize.dumps(out))
         return EXIT_RESIDUAL
     chain, report = _build_verified_chain(cmd, system)
+    state = _state_of(system)
     out = {
-        "classification": _classification_json(system),
-        "defect_profile": _defect_profile_json(system, cmd.n_max),
+        "classification": _classification_json(system, state),
+        "defect_profile": _defect_profile_json(state, cmd.n_max),
         "gammas": [la.matrix_to_json(g) for g in chain.params.gammas],
         "termination_step": chain.termination_step,
         "residuals": dict(sorted(report.residuals.items())),

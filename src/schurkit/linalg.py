@@ -3,9 +3,12 @@
 All matrices are 2-D ``numpy`` arrays of ``complex128``; zero-dimensional
 shapes such as ``(p, 0)`` are legal everywhere and behave like the empty
 operator between the corresponding spaces.  Every rank decision in the
-package funnels through a single relative singular-value cutoff
-(``Tolerance.rank_rel``), and every approximate comparison through one
-absolute tolerance (``Tolerance.eq_abs``).
+package funnels through one relative cutoff, ``Tolerance.rank_rel``:
+singular values of a matrix are cut at ``rank_rel`` times the largest one,
+while defects and intersections are decided on a squared scale, where
+``rank_rel`` cuts the eigenvalues of I - X*X and the squared sines of
+principal angles.  Every approximate comparison goes through one absolute
+tolerance (``Tolerance.eq_abs``).
 """
 
 from __future__ import annotations
@@ -316,14 +319,29 @@ def range_basis(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Subspace:
 def subspace_intersect(u: Subspace, v: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     """Intersection of two subspaces of the same ambient space.
 
-    Computed as the kernel of the stacked projector complements: x lies in
-    the intersection iff (I - P_U)x = 0 and (I - P_V)x = 0.
+    Decided inside the smaller subspace S, against the other one O: with
+    G = W_S* W_O, the eigenvalues of I - G G* are the squared sines of the
+    principal angles between S and O, and the eigenvectors whose value is
+    at or below ``rank_rel`` span the intersection.  The cut is on the
+    squared scale, like the one of :func:`defect_of`, and the cost is one
+    m x m eigendecomposition with m = min(dim U, dim V).
     """
     if u.ambient_dim != v.ambient_dim:
         raise AmbientMismatch(f"ambient {u.ambient_dim} != {v.ambient_dim}")
     d = u.ambient_dim
-    stacked = np.vstack([eye(d) - u.projector(), eye(d) - v.projector()])
-    return kernel_basis(stacked, tol)
+    small, other = (u, v) if u.dim <= v.dim else (v, u)
+    if small.dim == 0:
+        return trivial_space(d)
+    g = adj(small.basis) @ other.basis
+    h = eye(small.dim) - g @ adj(g)
+    w, vecs = np.linalg.eigh((h + adj(h)) / 2.0)
+    keep = w <= tol.rank_rel
+    k = int(np.sum(keep))
+    if k == 0:
+        return trivial_space(d)
+    if k == d:
+        return full_space(d)
+    return Subspace(d, small.basis @ vecs[:, keep])
 
 
 def projector(u: Subspace) -> np.ndarray:

@@ -56,7 +56,9 @@ _RANGE_GUARD = 1e-6
 
 
 def is_unitary_parameter(g: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Termination test: all singular values within 10*rank_rel of 1."""
+    """Unitary test for outside input and the oracle: all singular values
+    within 10*rank_rel of 1.  The realization route does not use it; it
+    terminates on dim H(n, 0) = 0."""
     g = la.cmatrix(g)
     if g.shape[0] != g.shape[1]:
         return False
@@ -337,12 +339,17 @@ def schur_oracle(theta: SampledFunction, n_max: int,
     return OracleChain(params, iterates, doms, codoms, breakdown)
 
 
-def _require_simple_conservative(sys: DiscreteSystem):
-    cls = sys.classify()
-    if not (cls.conservative and cls.simple):
-        raise NotSimpleConservative(
-            "this construction requires a simple conservative system"
-        )
+def _simple_conservative_state(sys: DiscreteSystem, tol: Tolerance) -> Contraction:
+    """The state of ``sys`` as a :class:`Contraction`, once ``sys`` is known
+    to be simple conservative; the input check reads the same Contraction."""
+    try:
+        state = Contraction(sys.a, tol)
+        cls = sys.classify(state)
+    except NotContraction:  # the state of a conservative system is a contraction
+        cls = None
+    if not (cls and cls.conservative and cls.simple):
+        raise NotSimpleConservative("this construction requires a simple conservative system")
+    return state
 
 
 class _RealizationChain:
@@ -357,19 +364,22 @@ class _RealizationChain:
     together with the absolute bases themselves.  Gamma_n is then
 
         N_n C A^{n-1} W (M_n B* W)*   with W a basis of H(n-1, 0).
+
+    The n-th iterate is realized on H(n, 0), so Gamma_n is unitary exactly
+    when H(n, 0) = {0}: the chain terminates on that rank decision of the
+    lattice, and the defect of a terminal parameter is never taken.
     """
 
     def __init__(self, sys: DiscreteSystem, tol: Tolerance):
-        _require_simple_conservative(sys)
+        self.state = _simple_conservative_state(sys, tol)
         self.sys = sys
         self.tol = tol
-        self.state = Contraction(sys.a, tol)
         self.gammas: list[np.ndarray] = [sys.d.copy()]
         self.doms: list[np.ndarray] = [la.eye(sys.in_dim)]
         self.codoms: list[np.ndarray] = [la.eye(sys.out_dim)]
         self.m_chains: list[np.ndarray] = [la.eye(sys.in_dim)]
         self.n_chains: list[np.ndarray] = [la.eye(sys.out_dim)]
-        self.terminated = is_unitary_parameter(sys.d, tol)
+        self.terminated = self.state.dim == 0
         if not self.terminated:
             self._push_defect_step(la.defect_of(sys.d, tol),
                                    la.defect_of(sys.d, tol, adjoint=True))
@@ -394,7 +404,7 @@ class _RealizationChain:
             right = self.m_chains[n] @ adj(self.sys.b) @ w_prev
             gamma = left @ adj(right)
             self.gammas.append(gamma)
-            if is_unitary_parameter(gamma, self.tol):
+            if self.state.h_subspace(n, 0).space.dim == 0:
                 self.terminated = True
                 self.doms = self.doms[: n + 1]
                 self.codoms = self.codoms[: n + 1]
@@ -454,7 +464,8 @@ def gamma_from_realization(sys: DiscreteSystem, n_max: int,
                            tol: Tolerance | None = None) -> ChoiceSequence:
     """Closed-form Schur parameters of the transfer function of ``sys``.
 
-    Stops at the first unitary parameter or after ``n_max`` steps.
+    Stops at termination, the first n with H(n, 0) = {0} (where Gamma_n is
+    unitary), or after ``n_max`` steps.
     """
     chain = _RealizationChain(sys, tol or sys.tol)
     chain.extend(n_max)
@@ -468,14 +479,13 @@ def first_iterate_systems(sys: DiscreteSystem, tol: Tolerance | None = None):
     state space; zeta1 and zeta2 realize Theta_1 on ker D_A* and ker D_A.
     """
     tol = tol or sys.tol
-    _require_simple_conservative(sys)
-    gamma0 = sys.d
-    if is_unitary_parameter(gamma0, tol):
+    state = _simple_conservative_state(sys, tol)
+    if state.dim == 0:
         raise UnitaryTheta0("Theta(0) is unitary; there is no first iterate")
+    gamma0 = sys.d
     d0 = la.defect_of(gamma0, tol)
     d0s = la.defect_of(gamma0, tol, adjoint=True)
     e0, f0 = d0.space, d0s.space
-    state = Contraction(sys.a, tol)
     w10 = state.h_subspace(1, 0).space.basis
     w01 = state.h_subspace(0, 1).space.basis
     dastar_pinv = state.defect_data_star.op_pinv
@@ -538,7 +548,13 @@ class SchurChain:
 
 def build_chain(sys: DiscreteSystem, n_max: int | None = None,
                 tol: Tolerance | None = None) -> SchurChain:
-    """Run the realization-level algorithm and collect iterate families."""
+    """Run the realization-level algorithm and collect iterate families.
+
+    Parameters are computed up to ``n_max`` (default: state dimension + 1)
+    or termination, the first n with H(n, 0) = {0}; ``families[n-1]``
+    realizes the n-th iterate on the spaces H(n-k, k) for every step
+    before termination.
+    """
     tol = tol or sys.tol
     cap = sys.state_dim + 1 if n_max is None else n_max
     chain = _RealizationChain(sys, tol)

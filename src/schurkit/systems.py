@@ -219,10 +219,15 @@ class DiscreteSystem:
             power = adj(self.a) @ power
         return la.range_basis(np.hstack(blocks), self.tol)
 
-    def classify(self) -> SystemClassification:
+    def classify(self, state: Contraction | None = None) -> SystemClassification:
         """Classification flags; conservative systems are cross-checked
         against the defect-kernel characterization of the controllable and
-        observable complements."""
+        observable complements.
+
+        ``state``, a Contraction of this system's state matrix at the
+        system's tolerance, supplies those kernels; one is built when it is
+        not given.
+        """
         full = self.colligation()
         passive = la.is_contraction(full, self.tol)
         isometric = la.is_isometry(full, self.tol)
@@ -236,7 +241,8 @@ class DiscreteSystem:
         joint = la.range_basis(np.hstack([ctrl.basis, obs.basis]), self.tol)
         simple = joint.dim == d
         if conservative and d > 0:
-            state = Contraction(self.a, self.tol)
+            if state is None or state.tol != self.tol:
+                state = Contraction(self.a, self.tol)
             ctrl_perp_kernels = state.h_subspace(0, d).space
             obs_perp_kernels = state.h_subspace(d, 0).space
             if (

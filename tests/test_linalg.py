@@ -147,6 +147,58 @@ class TestSubspaces:
         assert la.matnorm_diff(p, adj(p)) <= la.DEFAULT_TOL.eq_abs
 
 
+def _planted_pair(q, mixers, du, dv, k, rng):
+    """Subspaces U, V of C^d, d the order of the unitary ``q``, with dims du
+    and dv sharing exactly k directions; V leans on U outside the shared
+    part, so no other angle is 0 or 90 degrees, and each basis is mixed by
+    the unitary of its size in ``mixers``."""
+    d = q.shape[0]
+    shared, u_rest = q[:, :k], q[:, k:du]
+    outside = q[:, du:du + dv - k]
+    lean = u_rest @ random_matrix(rng, du - k, dv - k) if du > k else 0.0
+    v_rest = np.linalg.qr(outside + 0.5 * lean)[0]
+    u = la.Subspace(d, q[:, :du] @ mixers[du])
+    v = la.Subspace(d, np.hstack([shared, v_rest]) @ mixers[dv])
+    return u, v
+
+
+class TestSubspaceIntersectProperties:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_planted_intersections(self, seed):
+        # every planted dimension in every ambient dimension up to 10; the
+        # swapped call covers the pairs with dim U > dim V
+        rng = np.random.default_rng(seed)
+        for d in range(11):
+            q = la.haar_unitary(d, rng)
+            mixers = [la.haar_unitary(n, rng) for n in range(d + 1)]
+            for du in range(d + 1):
+                for dv in range(du, d + 1):
+                    for k in range(max(0, du + dv - d), min(du, dv) + 1):
+                        u, v = _planted_pair(q, mixers, du, dv, k, rng)
+                        for first, second in ((u, v), (v, u)):
+                            w = la.subspace_intersect(first, second)
+                            assert (w.ambient_dim, w.dim) == (d, k)
+                            gram = adj(w.basis) @ w.basis
+                            assert la.matnorm_diff(gram, la.eye(k)) <= 1e-12
+                            assert u.contains(w) and v.contains(w)
+
+    @pytest.mark.parametrize("angle, shared", [(1e-6, 2), (1e-3, 1)])
+    def test_cut_on_squared_sine(self, rng, angle, shared):
+        # sin^2 = 1e-12 lies below rank_rel = 1e-10 and merges the two
+        # directions; sin^2 = 1e-6 keeps them apart
+        q = la.haar_unitary(6, rng)
+        u = la.subspace(q[:, :3])
+        tilted = np.cos(angle) * q[:, 1] + np.sin(angle) * q[:, 3]
+        v = la.subspace(np.column_stack([q[:, 0], tilted, q[:, 4]]))
+        assert la.subspace_intersect(u, v).dim == shared
+        assert la.subspace_intersect(v, u).dim == shared
+
+    def test_full_and_trivial_canonical(self):
+        full = la.full_space(3)
+        assert np.array_equal(la.subspace_intersect(full, full).basis, np.eye(3))
+        assert la.subspace_intersect(full, la.trivial_space(3)).basis.shape == (3, 0)
+
+
 class TestPredicates:
     def test_permutation_unitary(self):
         assert la.is_unitary([[0, 1], [1, 0]])

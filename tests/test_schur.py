@@ -30,6 +30,7 @@ from schurkit.errors import SchurkitError, Terminated, UnitaryParameter, Unitary
 from schurkit.linalg import adj
 from schurkit.schur import (
     CHAIN_THRESHOLDS,
+    ChainReport,
     _lattice_intertwiner,
     build_chain,
     is_unitary_parameter,
@@ -481,6 +482,40 @@ class TestTermination:
             )
             assert is_unitary_parameter(gamma) == stabilized
             assert is_unitary_parameter(gamma) == adj_stabilized
+
+    def test_intersections_converge_where_the_svd_did_not(self):
+        # the eigh intersection converges where the stacked-projector SVD
+        # did not, and the chain verifies with every threshold unchanged
+        sys = random_conservative_system(36, 4, np.random.default_rng(3))
+        chain = build_chain(sys)
+        assert chain.termination_step == 9
+        report = verify_chain(chain)
+        assert report.ok, report.failures()
+
+    @pytest.mark.parametrize("seed", [31, 118])
+    def test_terminal_drift_does_not_hide_termination(self, seed):
+        # the terminal parameter drifts about 1.2e-9 from unitary, past the
+        # 10 * rank_rel singular-value test; the lattice still terminates
+        # at d / io = 12, and verification reports instead of raising
+        sys = random_conservative_system(48, 4, np.random.default_rng(seed))
+        chain = build_chain(sys)
+        assert chain.termination_step == 12
+        assert [s.dim for s in chain.h_chain][-1] == 0
+        assert isinstance(verify_chain(chain), ChainReport)
+
+    def test_one_state_decomposition_per_build(self, monkeypatch):
+        # the input check and the chain read one Contraction of the state
+        sys = random_conservative_system(6, 2, np.random.default_rng(4))
+        init = Contraction.__init__
+        states = []
+
+        def counting_init(self, a, *args, **kwargs):
+            states.append(np.array_equal(la.cmatrix(a), sys.a))
+            init(self, a, *args, **kwargs)
+
+        monkeypatch.setattr(Contraction, "__init__", counting_init)
+        build_chain(sys)
+        assert states == [True]
 
 
 def _sigma_blocks(a: Contraction):
