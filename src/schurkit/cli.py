@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,49 +41,36 @@ class ValidationFailure(Exception):
     pass
 
 
-@dataclass
-class Command:
-    verb: str
-    input_path: str | None = None
-    output_path: str | None = None
-    n_max: int | None = None
-    rank_tol: float = 1e-10
-    eq_tol: float = 1e-9
-    grid_radii: tuple[float, ...] = (0.3, 0.6, 0.9)
-    seed: int = 0
-    state_dim: int = 4
-    io_dim: int = 2
-
-    def tolerance(self) -> Tolerance:
-        return Tolerance(rank_rel=self.rank_tol, eq_abs=self.eq_tol)
+def _tolerance(ns: argparse.Namespace) -> Tolerance:
+    return Tolerance(rank_rel=ns.rank_tol, eq_abs=ns.eq_tol)
 
 
-def _load_system(cmd: Command) -> DiscreteSystem:
-    if cmd.input_path is None:
+def _load_system(ns: argparse.Namespace) -> DiscreteSystem:
+    if ns.input_path is None:
         raise ParseFailure("--input is required for this verb")
     try:
-        text = Path(cmd.input_path).read_text()
+        text = Path(ns.input_path).read_text()
     except OSError as exc:
-        raise ParseFailure(f"cannot read {cmd.input_path}: {exc}") from exc
+        raise ParseFailure(f"cannot read {ns.input_path}: {exc}") from exc
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseFailure(f"invalid JSON: {exc}") from exc
     try:
-        return serialize.system_from_json(obj, cmd.tolerance())
+        return serialize.system_from_json(obj, _tolerance(ns))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseFailure(f"bad system schema: {exc}") from exc
     except SchurkitError as exc:
         raise ValidationFailure(str(exc)) from exc
 
 
-def _emit(cmd: Command, text: str):
-    if cmd.output_path is None:
+def _emit(ns: argparse.Namespace, text: str):
+    if ns.output_path is None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        Path(cmd.output_path).write_text(text)
+        Path(ns.output_path).write_text(text)
 
 
 def _state_of(sys: DiscreteSystem) -> Contraction | None:
@@ -122,47 +108,47 @@ def _chain_json(chain, report) -> dict:
     }
 
 
-def _run_analyze(cmd: Command) -> int:
-    system = _load_system(cmd)
+def _run_analyze(ns: argparse.Namespace) -> int:
+    system = _load_system(ns)
     state = _state_of(system)
     out = {
         "dims": {"input": system.in_dim, "output": system.out_dim,
                  "state": system.state_dim},
         "classification": _classification_json(system, state),
-        "defect_profile": _defect_profile_json(state, cmd.n_max),
+        "defect_profile": _defect_profile_json(state, ns.n_max),
     }
-    _emit(cmd, serialize.dumps(out))
+    _emit(ns, serialize.dumps(out))
     return EXIT_OK
 
 
-def _build_verified_chain(cmd: Command, system: DiscreteSystem):
-    grid = disk_grid(cmd.grid_radii)
-    chain = build_chain(system, cmd.n_max)
+def _build_verified_chain(ns: argparse.Namespace, system: DiscreteSystem):
+    grid = disk_grid(ns.grid_radii)
+    chain = build_chain(system, ns.n_max)
     report = verify_chain(chain, grid)
     return chain, report
 
 
-def _run_schur(cmd: Command) -> int:
-    system = _load_system(cmd)
-    chain, report = _build_verified_chain(cmd, system)
-    _emit(cmd, serialize.dumps(_chain_json(chain, report)))
+def _run_schur(ns: argparse.Namespace) -> int:
+    system = _load_system(ns)
+    chain, report = _build_verified_chain(ns, system)
+    _emit(ns, serialize.dumps(_chain_json(chain, report)))
     return EXIT_OK
 
 
-def _run_realize(cmd: Command) -> int:
-    system = _load_system(cmd)
-    chain = build_chain(system, cmd.n_max)
+def _run_realize(ns: argparse.Namespace) -> int:
+    system = _load_system(ns)
+    chain = build_chain(system, ns.n_max)
     out = {
         "h_dims": [s.dim for s in chain.h_chain],
         "terminated": chain.params.terminated,
         "iterates": _iterates_json(chain),
     }
-    _emit(cmd, serialize.dumps(out))
+    _emit(ns, serialize.dumps(out))
     return EXIT_OK
 
 
-def _run_verify(cmd: Command) -> int:
-    system = _load_system(cmd)
+def _run_verify(ns: argparse.Namespace) -> int:
+    system = _load_system(ns)
     gate = la.unitarity_residual(system.colligation())
     if gate > _VERIFY_GATE:
         out = {
@@ -174,37 +160,37 @@ def _run_verify(cmd: Command) -> int:
             "thresholds": {"colligation_unitarity": CHAIN_THRESHOLDS["colligation_unitarity"]},
             "pass": False,
         }
-        _emit(cmd, serialize.dumps(out))
+        _emit(ns, serialize.dumps(out))
         return EXIT_RESIDUAL
-    chain, report = _build_verified_chain(cmd, system)
+    chain, report = _build_verified_chain(ns, system)
     state = _state_of(system)
     out = {
         "classification": _classification_json(system, state),
-        "defect_profile": _defect_profile_json(state, cmd.n_max),
+        "defect_profile": _defect_profile_json(state, ns.n_max),
         "gammas": [la.matrix_to_json(g) for g in chain.params.gammas],
         "termination_step": chain.termination_step,
         "residuals": dict(sorted(report.residuals.items())),
         "thresholds": dict(sorted(report.thresholds.items())),
         "pass": report.ok,
     }
-    _emit(cmd, serialize.dumps(out))
+    _emit(ns, serialize.dumps(out))
     return EXIT_OK if report.ok else EXIT_RESIDUAL
 
 
-def _run_sample(cmd: Command) -> int:
-    system = _load_system(cmd)
-    grid = disk_grid(cmd.grid_radii)
+def _run_sample(ns: argparse.Namespace) -> int:
+    system = _load_system(ns)
+    grid = disk_grid(ns.grid_radii)
     values = list(zip(grid, system.transfer(np.asarray(grid))))
-    _emit(cmd, serialize.sample_csv(values))
+    _emit(ns, serialize.sample_csv(values))
     return EXIT_OK
 
 
-def _run_random(cmd: Command) -> int:
-    rng = np.random.default_rng(cmd.seed)
+def _run_random(ns: argparse.Namespace) -> int:
+    rng = np.random.default_rng(ns.seed)
     system = random_conservative_system(
-        cmd.state_dim, cmd.io_dim, rng, cmd.tolerance()
+        ns.state_dim, ns.io_dim, rng, _tolerance(ns)
     )
-    _emit(cmd, serialize.dumps(
+    _emit(ns, serialize.dumps(
         serialize.system_to_json(system, system.classify().as_dict())
     ))
     return EXIT_OK
@@ -220,11 +206,11 @@ _RUNNERS = {
 }
 
 
-def run(cmd: Command) -> int:
-    """Execute a command; returns the process exit code."""
+def run(ns: argparse.Namespace) -> int:
+    """Execute a parsed command line; returns the process exit code."""
     try:
-        cmd.tolerance()  # reject bad tolerance values before touching input
-        return _RUNNERS[cmd.verb](cmd)
+        _tolerance(ns)  # reject bad tolerance values before touching input
+        return _RUNNERS[ns.verb](ns)
     except ParseFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -244,6 +230,7 @@ def _parse_radii(text: str) -> tuple[float, ...]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per verb, each with only the flags its runner reads."""
     parser = argparse.ArgumentParser(
         prog="schurkit",
         description="Schur parameters and conservative realizations of "
@@ -259,35 +246,25 @@ def build_parser() -> argparse.ArgumentParser:
         ("random", "reproducible random simple conservative system"),
     ):
         p = sub.add_parser(verb, help=helptext)
-        p.add_argument("--input", dest="input_path")
+        if verb != "random":
+            p.add_argument("--input", dest="input_path")
         p.add_argument("--output", dest="output_path")
-        p.add_argument("--n-max", dest="n_max", type=int)
+        if verb in ("analyze", "schur", "realize", "verify"):
+            p.add_argument("--n-max", dest="n_max", type=int)
         p.add_argument("--rank-tol", dest="rank_tol", type=float, default=1e-10)
         p.add_argument("--eq-tol", dest="eq_tol", type=float, default=1e-9)
-        p.add_argument("--grid-radii", dest="grid_radii", type=_parse_radii,
-                       default=(0.3, 0.6, 0.9))
-        p.add_argument("--seed", dest="seed", type=int, default=0)
+        if verb in ("schur", "verify", "sample"):
+            p.add_argument("--grid-radii", dest="grid_radii", type=_parse_radii,
+                           default=(0.3, 0.6, 0.9))
         if verb == "random":
+            p.add_argument("--seed", dest="seed", type=int, default=0)
             p.add_argument("--state-dim", dest="state_dim", type=int, default=4)
             p.add_argument("--io-dim", dest="io_dim", type=int, default=2)
     return parser
 
 
 def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
-    cmd = Command(
-        verb=ns.verb,
-        input_path=ns.input_path,
-        output_path=ns.output_path,
-        n_max=ns.n_max,
-        rank_tol=ns.rank_tol,
-        eq_tol=ns.eq_tol,
-        grid_radii=tuple(ns.grid_radii),
-        seed=ns.seed,
-        state_dim=getattr(ns, "state_dim", 4),
-        io_dim=getattr(ns, "io_dim", 2),
-    )
-    return run(cmd)
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -18,15 +18,6 @@ from .linalg import DEFAULT_TOL, Subspace, Tolerance, adj
 
 
 @dataclass(frozen=True)
-class SubspacePair:
-    """H(n, m) together with its indices."""
-
-    n: int
-    m: int
-    space: Subspace
-
-
-@dataclass(frozen=True)
 class DefectProfile:
     """Defect numbers of the compression families.
 
@@ -66,8 +57,7 @@ class Contraction:
         self.defect_a = self.defect_data.space
         self.defect_astar = self.defect_data_star.space
         self._powers: dict[int, np.ndarray] = {0: la.eye(self.dim), 1: a}
-        self._h_cache: dict[tuple[int, int], SubspacePair] = {}
-        self._kernel_cache: dict[tuple[str, int], Subspace] = {}
+        self._h_cache: dict[tuple[int, int], Subspace] = {}
 
     def power(self, n: int) -> np.ndarray:
         if n not in self._powers:
@@ -78,16 +68,12 @@ class Contraction:
         """D_{A^n}, or D_{A*^n} when ``star`` is set."""
         return la.defect_of(self.power(n), self.tol, adjoint=star).op
 
-    def _power_kernel(self, n: int, star: bool) -> Subspace:
-        key = ("*" if star else "", n)
-        if key not in self._kernel_cache:
-            self._kernel_cache[key] = la.defect_of(
-                self.power(n), self.tol, adjoint=star
-            ).kernel
-        return self._kernel_cache[key]
+    def h_subspace(self, n: int, m: int) -> Subspace:
+        """H(n, m), with H(0, 0) the full space.
 
-    def h_subspace(self, n: int, m: int) -> SubspacePair:
-        """H(n, m), with H(0, 0) the full space."""
+        H(n, 0) = ker D_{A^n} and H(0, m) = ker D_{A*^m} are the power
+        kernels; every other entry intersects those two cached entries.
+        """
         if n < 0 or m < 0:
             raise ValueError("indices must be nonnegative")
         key = (n, m)
@@ -95,27 +81,25 @@ class Contraction:
             if n == 0 and m == 0:
                 space = la.full_space(self.dim)
             elif m == 0:
-                space = self._power_kernel(n, star=False)
+                space = la.defect_of(self.power(n), self.tol).kernel
             elif n == 0:
-                space = self._power_kernel(m, star=True)
+                space = la.defect_of(self.power(m), self.tol, adjoint=True).kernel
             else:
                 space = la.subspace_intersect(
-                    self._power_kernel(n, star=False),
-                    self._power_kernel(m, star=True),
-                    self.tol,
+                    self.h_subspace(n, 0), self.h_subspace(0, m), self.tol
                 )
-            self._h_cache[key] = SubspacePair(n, m, space)
+            self._h_cache[key] = space
         return self._h_cache[key]
 
     def compress(self, n: int, m: int) -> np.ndarray:
         """Matrix of P(n, m) A restricted to H(n, m) in the stored basis."""
-        w = self.h_subspace(n, m).space.basis
+        w = self.h_subspace(n, m).basis
         return adj(w) @ self.a @ w
 
     def partial_product(self, n: int, m: int) -> np.ndarray:
         """Matrix of A(n, m) P(n+1, m) on H(n, m) in the stored basis."""
-        w = self.h_subspace(n, m).space.basis
-        q = self.h_subspace(n + 1, m).space.basis
+        w = self.h_subspace(n, m).basis
+        q = self.h_subspace(n + 1, m).basis
         return adj(w) @ self.a @ q @ adj(q) @ w
 
     def is_cnu(self) -> bool:
@@ -142,7 +126,7 @@ class Contraction:
         """
         if self.dim == 0:
             return la.trivial_space(0), la.trivial_space(0)
-        h1 = self.h_subspace(self.dim, self.dim).space
+        h1 = self.h_subspace(self.dim, self.dim)
         h0 = h1.complement(self.tol)
         return h0, h1
 

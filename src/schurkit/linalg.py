@@ -189,16 +189,6 @@ def psd_sqrt(h: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return (s + adj(s)) / 2.0
 
 
-def svd(m: np.ndarray):
-    """Thin SVD with empty-shape support; singular values descending."""
-    m = cmatrix(m)
-    if min(m.shape) == 0:
-        k = 0
-        return zeros(m.shape[0], k), np.zeros(0), zeros(k, m.shape[1])
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    return u, s, vh
-
-
 @dataclass(frozen=True)
 class DefectData:
     """Defect operator of a contraction with one shared rank decision.

@@ -339,11 +339,12 @@ def schur_oracle(theta: SampledFunction, n_max: int,
     return OracleChain(params, iterates, doms, codoms, breakdown)
 
 
-def _simple_conservative_state(sys: DiscreteSystem, tol: Tolerance) -> Contraction:
-    """The state of ``sys`` as a :class:`Contraction`, once ``sys`` is known
-    to be simple conservative; the input check reads the same Contraction."""
+def _simple_conservative_state(sys: DiscreteSystem) -> Contraction:
+    """The state of ``sys`` as a :class:`Contraction` at the system's
+    tolerance, once ``sys`` is known to be simple conservative; the input
+    check reads the same Contraction."""
     try:
-        state = Contraction(sys.a, tol)
+        state = Contraction(sys.a, sys.tol)
         cls = sys.classify(state)
     except NotContraction:  # the state of a conservative system is a contraction
         cls = None
@@ -367,13 +368,13 @@ class _RealizationChain:
 
     The n-th iterate is realized on H(n, 0), so Gamma_n is unitary exactly
     when H(n, 0) = {0}: the chain terminates on that rank decision of the
-    lattice, and the defect of a terminal parameter is never taken.
+    lattice, and the defect of a terminal parameter is never taken.  Every
+    rank decision is made at the system's tolerance.
     """
 
-    def __init__(self, sys: DiscreteSystem, tol: Tolerance):
-        self.state = _simple_conservative_state(sys, tol)
+    def __init__(self, sys: DiscreteSystem):
+        self.state = _simple_conservative_state(sys)
         self.sys = sys
-        self.tol = tol
         self.gammas: list[np.ndarray] = [sys.d.copy()]
         self.doms: list[np.ndarray] = [la.eye(sys.in_dim)]
         self.codoms: list[np.ndarray] = [la.eye(sys.out_dim)]
@@ -381,8 +382,8 @@ class _RealizationChain:
         self.n_chains: list[np.ndarray] = [la.eye(sys.out_dim)]
         self.terminated = self.state.dim == 0
         if not self.terminated:
-            self._push_defect_step(la.defect_of(sys.d, tol),
-                                   la.defect_of(sys.d, tol, adjoint=True))
+            self._push_defect_step(la.defect_of(sys.d, sys.tol),
+                                   la.defect_of(sys.d, sys.tol, adjoint=True))
 
     def _push_defect_step(self, dd: la.DefectData, dds: la.DefectData):
         """Extend the chains and bases by the defect data of the last
@@ -399,18 +400,18 @@ class _RealizationChain:
         """Compute parameters up to index ``n_max`` or termination."""
         while not self.terminated and self.last_n() < n_max:
             n = self.last_n() + 1
-            w_prev = self.state.h_subspace(n - 1, 0).space.basis
+            w_prev = self.state.h_subspace(n - 1, 0).basis
             left = self.n_chains[n] @ self.sys.c @ self.state.power(n - 1) @ w_prev
             right = self.m_chains[n] @ adj(self.sys.b) @ w_prev
             gamma = left @ adj(right)
             self.gammas.append(gamma)
-            if self.state.h_subspace(n, 0).space.dim == 0:
+            if self.state.h_subspace(n, 0).dim == 0:
                 self.terminated = True
                 self.doms = self.doms[: n + 1]
                 self.codoms = self.codoms[: n + 1]
                 return
-            dd = la.defect_of(gamma, self.tol)
-            dds = la.defect_of(gamma, self.tol, adjoint=True)
+            dd = la.defect_of(gamma, self.sys.tol)
+            dds = la.defect_of(gamma, self.sys.tol, adjoint=True)
             self._check_range_inclusions(n, dd, dds)
             self._push_defect_step(dd, dds)
 
@@ -418,8 +419,8 @@ class _RealizationChain:
         """ran(M_n B* on H(n,0)) must lie in ran D(Gamma_n); likewise the
         output chain applied to C on H(0,n) in ran D(Gamma*_n)."""
         e, f = dd.space, dds.space
-        w_n0 = self.state.h_subspace(n, 0).space.basis
-        w_0n = self.state.h_subspace(0, n).space.basis
+        w_n0 = self.state.h_subspace(n, 0).basis
+        w_0n = self.state.h_subspace(0, n).basis
         x = self.m_chains[n] @ adj(self.sys.b) @ w_n0
         y = self.n_chains[n] @ self.sys.c @ w_0n
         res_b = la.opnorm(x - e.basis @ (adj(e.basis) @ x))
@@ -441,14 +442,14 @@ class _RealizationChain:
         """All realizations of the n-th iterate, state spaces H(n-k, k)."""
         if n < 1 or n > self.last_n():
             raise Terminated(f"iterate index {n} lies beyond the computed chain")
-        w_n0 = self.state.h_subspace(n, 0).space.basis
+        w_n0 = self.state.h_subspace(n, 0).basis
         if w_n0.shape[1] == 0:
             raise Terminated(f"H({n},0) is trivial; the algorithm terminated at step {n}")
         gamma = self.gammas[n]
         bstar = self.m_chains[n] @ adj(self.sys.b) @ w_n0
         systems = []
         for k in range(n + 1):
-            w_nk = self.state.h_subspace(n - k, k).space.basis
+            w_nk = self.state.h_subspace(n - k, k).basis
             if w_nk.shape[1] != w_n0.shape[1]:
                 raise RankInconsistency(
                     f"dim H({n - k},{k}) = {w_nk.shape[1]} != dim H({n},0) = {w_n0.shape[1]}"
@@ -456,38 +457,37 @@ class _RealizationChain:
             c_blk = self.n_chains[n] @ self.sys.c @ self.state.power(n - k) @ w_nk
             b_blk = adj(w_nk) @ self.state.power(k) @ w_n0 @ adj(bstar)
             a_blk = adj(w_nk) @ self.sys.a @ w_nk
-            systems.append(discrete_system(gamma, c_blk, b_blk, a_blk, self.tol))
+            systems.append(discrete_system(gamma, c_blk, b_blk, a_blk, self.sys.tol))
         return systems
 
 
-def gamma_from_realization(sys: DiscreteSystem, n_max: int,
-                           tol: Tolerance | None = None) -> ChoiceSequence:
+def gamma_from_realization(sys: DiscreteSystem, n_max: int) -> ChoiceSequence:
     """Closed-form Schur parameters of the transfer function of ``sys``.
 
     Stops at termination, the first n with H(n, 0) = {0} (where Gamma_n is
     unitary), or after ``n_max`` steps.
     """
-    chain = _RealizationChain(sys, tol or sys.tol)
+    chain = _RealizationChain(sys)
     chain.extend(n_max)
     return chain.choice()
 
 
-def first_iterate_systems(sys: DiscreteSystem, tol: Tolerance | None = None):
+def first_iterate_systems(sys: DiscreteSystem):
     """The three printed realizations attached to the first iterate.
 
     Returns (nu, zeta1, zeta2): nu realizes lambda * Theta_1 on the full
     state space; zeta1 and zeta2 realize Theta_1 on ker D_A* and ker D_A.
     """
-    tol = tol or sys.tol
-    state = _simple_conservative_state(sys, tol)
+    tol = sys.tol
+    state = _simple_conservative_state(sys)
     if state.dim == 0:
         raise UnitaryTheta0("Theta(0) is unitary; there is no first iterate")
     gamma0 = sys.d
     d0 = la.defect_of(gamma0, tol)
     d0s = la.defect_of(gamma0, tol, adjoint=True)
     e0, f0 = d0.space, d0s.space
-    w10 = state.h_subspace(1, 0).space.basis
-    w01 = state.h_subspace(0, 1).space.basis
+    w10 = state.h_subspace(1, 0).basis
+    w01 = state.h_subspace(0, 1).basis
     dastar_pinv = state.defect_data_star.op_pinv
     c_chain = adj(f0.basis) @ d0s.op_pinv @ sys.c
     b_chain = dastar_pinv @ sys.b @ e0.basis
@@ -516,8 +516,7 @@ def first_iterate_systems(sys: DiscreteSystem, tol: Tolerance | None = None):
     return nu, zeta1, zeta2
 
 
-def iterate_systems(sys: DiscreteSystem, n: int,
-                    tol: Tolerance | None = None) -> list[DiscreteSystem]:
+def iterate_systems(sys: DiscreteSystem, n: int) -> list[DiscreteSystem]:
     """Realizations of the n-th iterate on the state spaces H(n-k, k).
 
     Raises :class:`Terminated` when the algorithm stops at or before n,
@@ -525,7 +524,7 @@ def iterate_systems(sys: DiscreteSystem, n: int,
     """
     if n < 1:
         raise ValueError("iterate index must be positive")
-    chain = _RealizationChain(sys, tol or sys.tol)
+    chain = _RealizationChain(sys)
     chain.extend(n)
     return chain.family(n)
 
@@ -546,27 +545,25 @@ class SchurChain:
         return len(self.params) - 1 if self.params.terminated else None
 
 
-def build_chain(sys: DiscreteSystem, n_max: int | None = None,
-                tol: Tolerance | None = None) -> SchurChain:
+def build_chain(sys: DiscreteSystem, n_max: int | None = None) -> SchurChain:
     """Run the realization-level algorithm and collect iterate families.
 
     Parameters are computed up to ``n_max`` (default: state dimension + 1)
     or termination, the first n with H(n, 0) = {0}; ``families[n-1]``
     realizes the n-th iterate on the spaces H(n-k, k) for every step
-    before termination.
+    before termination.  Every rank decision is made at ``sys.tol``.
     """
-    tol = tol or sys.tol
     cap = sys.state_dim + 1 if n_max is None else n_max
-    chain = _RealizationChain(sys, tol)
+    chain = _RealizationChain(sys)
     chain.extend(cap)
     last = chain.last_n()
-    h_chain = [chain.state.h_subspace(n, 0).space for n in range(last + 1)]
+    h_chain = [chain.state.h_subspace(n, 0) for n in range(last + 1)]
     families, lattice = [], []
     for n in range(1, last + 1):
-        if chain.state.h_subspace(n, 0).space.dim == 0:
+        if chain.state.h_subspace(n, 0).dim == 0:
             break
         families.append(chain.family(n))
-        lattice.append([chain.state.h_subspace(n - k, k).space.basis for k in range(n + 1)])
+        lattice.append([chain.state.h_subspace(n - k, k).basis for k in range(n + 1)])
     return SchurChain(sys, chain.choice(), h_chain, families, lattice)
 
 
@@ -600,11 +597,10 @@ class ChainReport:
     """Residual table from cross-verifying a chain; ``ok`` is the verdict."""
 
     residuals: dict[str, float] = field(default_factory=dict)
-    thresholds: dict[str, float] = field(default_factory=dict)
+    thresholds: dict[str, float] = field(default_factory=lambda: dict(CHAIN_THRESHOLDS))
 
     def add(self, kind: str, detail: str, value: float):
         self.residuals[f"{kind}[{detail}]" if detail else kind] = float(value)
-        self.thresholds.setdefault(kind, CHAIN_THRESHOLDS[kind])
 
     def failures(self) -> dict[str, float]:
         out = {}
@@ -623,7 +619,7 @@ class ChainReport:
         return max(self.residuals.values(), default=0.0)
 
 
-def verify_chain(chain: SchurChain, grid=None, tol: Tolerance | None = None) -> ChainReport:
+def verify_chain(chain: SchurChain, grid=None) -> ChainReport:
     """Cross-verify a realization chain against the function-level oracle.
 
     Residual groups: (a) parameters, realization versus oracle after basis
@@ -638,13 +634,12 @@ def verify_chain(chain: SchurChain, grid=None, tol: Tolerance | None = None) -> 
     The similarity certificate of members k and k+1 of family n is the
     lattice intertwiner U_k = W_{k+1}* A W_k, with W_k the stored basis of
     H(n-k, k) and A the source state: it is built from the source, not from
-    the family blocks, so it certifies them rather than fits them.
+    the family blocks, so it certifies them rather than fits them.  Every
+    rank decision and comparison is made at the source system's tolerance.
     """
-    tol = tol or chain.source.tol
+    tol = chain.source.tol
     pts = np.asarray(disk_grid() if grid is None else grid, dtype=complex)
     report = ChainReport()
-    for name, thr in CHAIN_THRESHOLDS.items():
-        report.thresholds[name] = thr
 
     report.add("colligation_unitarity", "", la.unitarity_residual(chain.source.colligation()))
 

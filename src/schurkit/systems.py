@@ -34,13 +34,13 @@ from .errors import (
 from .linalg import DEFAULT_TOL, Subspace, Tolerance, adj
 
 
-def disk_grid(radii: Sequence[float] = (0.3, 0.6, 0.9), n_angles: int = 8,
-              include_zero: bool = True) -> list[complex]:
-    """Deterministic sampling grid inside the unit disk (25 points by default)."""
-    pts: list[complex] = [0j] if include_zero else []
+def disk_grid(radii: Sequence[float] = (0.3, 0.6, 0.9)) -> list[complex]:
+    """Deterministic sampling grid inside the unit disk: the origin and 8
+    equispaced points on each radius (25 points by default)."""
+    pts: list[complex] = [0j]
     for r in radii:
-        for k in range(n_angles):
-            pts.append(r * np.exp(2j * np.pi * k / n_angles))
+        for k in range(8):
+            pts.append(r * np.exp(2j * np.pi * k / 8))
     return pts
 
 
@@ -243,8 +243,8 @@ class DiscreteSystem:
         if conservative and d > 0:
             if state is None or state.tol != self.tol:
                 state = Contraction(self.a, self.tol)
-            ctrl_perp_kernels = state.h_subspace(0, d).space
-            obs_perp_kernels = state.h_subspace(d, 0).space
+            ctrl_perp_kernels = state.h_subspace(0, d)
+            obs_perp_kernels = state.h_subspace(d, 0)
             if (
                 la.matnorm_diff(ctrl.complement(self.tol).projector(),
                                 ctrl_perp_kernels.projector()) > 1e-7
@@ -409,15 +409,17 @@ def intertwining_residual(s1: DiscreteSystem, s2: DiscreteSystem, u: np.ndarray)
     )
 
 
-def unitarily_similar(
-    s1: DiscreteSystem, s2: DiscreteSystem, cert_tol: float = 1e-7
-) -> Optional[np.ndarray]:
+# Largest intertwining residual that certifies a unitary similarity.
+_CERT_TOL = 1e-7
+
+
+def unitarily_similar(s1: DiscreteSystem, s2: DiscreteSystem) -> Optional[np.ndarray]:
     """Search for a unitary U with U A1 = A2 U, U B1 = B2, C1 = C2 U.
 
     The intertwining equations are solved as one least-squares system and
-    the solution is certified; a failed certificate is retried after polar
-    projection onto the unitary group.  Completeness is guaranteed only for
-    simple systems, where the intertwiner is unique.
+    the solution is certified to ``_CERT_TOL``; a failed certificate is
+    retried after polar projection onto the unitary group.  Completeness is
+    guaranteed only for simple systems, where the intertwiner is unique.
     """
     if s1.in_dim != s2.in_dim or s1.out_dim != s2.out_dim:
         raise DimMismatch("systems must share input and output dimensions")
@@ -426,7 +428,7 @@ def unitarily_similar(
         return None
     if d1 == 0:
         u = la.zeros(0, 0)
-        return u if la.matnorm_diff(s1.d, s2.d) <= cert_tol else None
+        return u if la.matnorm_diff(s1.d, s2.d) <= _CERT_TOL else None
     i1, i2 = la.eye(d1), la.eye(d2)
     rows = [
         np.kron(s1.a.T, i2) - np.kron(i1, s2.a),
@@ -440,13 +442,17 @@ def unitarily_similar(
     ])
     sol = np.linalg.lstsq(np.vstack(rows), rhs, rcond=None)[0]
     u = sol.reshape(d2, d1, order="F")
-    if intertwining_residual(s1, s2, u) <= cert_tol:
+    if intertwining_residual(s1, s2, u) <= _CERT_TOL:
         return u
     uu, _, vh = np.linalg.svd(u)
     u_polar = uu @ vh
-    if intertwining_residual(s1, s2, u_polar) <= cert_tol:
+    if intertwining_residual(s1, s2, u_polar) <= _CERT_TOL:
         return u_polar
     return None
+
+
+# Draws before random_conservative_system gives up.
+_MAX_DRAWS = 64
 
 
 def random_conservative_system(
@@ -454,16 +460,14 @@ def random_conservative_system(
     io_dim: int,
     rng: np.random.Generator,
     tol: Tolerance = DEFAULT_TOL,
-    require_simple: bool = True,
-    max_tries: int = 64,
 ) -> DiscreteSystem:
     """Haar-random unitary colligation, rejection-sampled to be simple."""
-    for _ in range(max_tries):
+    for _ in range(_MAX_DRAWS):
         u = la.haar_unitary(io_dim + state_dim, rng)
         sys = discrete_system(
             u[:io_dim, :io_dim], u[:io_dim, io_dim:], u[io_dim:, :io_dim], u[io_dim:, io_dim:],
             tol,
         )
-        if not require_simple or sys.is_simple_conservative():
+        if sys.is_simple_conservative():
             return sys
     raise RuntimeError("failed to draw a simple conservative system")

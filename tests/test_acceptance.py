@@ -137,29 +137,29 @@ def test_criterion_4_compression_lattice():
         a = random_cnu(dim, defect, rng)
         for n in range(1, 3):
             for m in range(0, 2):
-                h = a.h_subspace(n, m).space
+                h = a.h_subspace(n, m)
                 if h.dim:
                     img = la.image_subspace(a.a, h)
                     worst = max(worst, la.matnorm_diff(
-                        img.projector(), a.h_subspace(n - 1, m + 1).space.projector()
+                        img.projector(), a.h_subspace(n - 1, m + 1).projector()
                     ))
         for n, m in ((0, 0), (1, 0), (0, 1)):
-            w = a.h_subspace(n, m).space.basis
+            w = a.h_subspace(n, m).basis
             comp = a.compress(n, m)
             for k in (1, 2):
                 dd = la.defect_of(np.linalg.matrix_power(comp, k), a.tol)
                 amb = (la.Subspace(dim, w @ dd.kernel.basis) if dd.kernel.dim
                        else la.trivial_space(dim))
                 worst = max(worst, la.matnorm_diff(
-                    amb.projector(), a.h_subspace(n + k, m).space.projector()
+                    amb.projector(), a.h_subspace(n + k, m).projector()
                 ))
         # nested compression vs direct compression, as unitary equivalence
-        w = a.h_subspace(1, 0).space.basis
+        w = a.h_subspace(1, 0).basis
         if w.shape[1]:
             inner = Contraction(a.compress(1, 0), a.tol)
             for k, l in ((1, 0), (0, 1)):
-                v = inner.h_subspace(k, l).space.basis
-                target = a.h_subspace(1 + k, l).space.basis
+                v = inner.h_subspace(k, l).basis
+                target = a.h_subspace(1 + k, l).basis
                 if v.shape[1] == 0:
                     continue
                 q = adj(target) @ (w @ v)
@@ -170,11 +170,11 @@ def test_criterion_4_compression_lattice():
         # intertwining A(n-1,m+1) A = A A(n,m) on H(n,m)
         for n in range(1, 3):
             for m in range(0, 2):
-                hs = a.h_subspace(n, m).space
+                hs = a.h_subspace(n, m)
                 if hs.dim == 0:
                     continue
                 wb = hs.basis
-                w2 = a.h_subspace(n - 1, m + 1).space.basis
+                w2 = a.h_subspace(n - 1, m + 1).basis
                 u = adj(w2) @ a.a @ wb
                 worst = max(worst, la.matnorm_diff(
                     a.compress(n - 1, m + 1) @ u, u @ a.compress(n, m)
@@ -190,7 +190,7 @@ def test_criterion_5_moebius_parameter_of_char_function():
         defect = int(rng.integers(1, 3))
         a = random_cnu(dim, defect, rng)
         z = moebius_parameter(char_function(a))
-        cal = Contraction(a.a @ a.h_subspace(1, 0).space.projector())
+        cal = Contraction(a.a @ a.h_subspace(1, 0).projector())
         psi = char_function(cal)
         theta0 = char_function(a)(0)
         e0 = la.defect_of(theta0).space

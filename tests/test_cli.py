@@ -188,3 +188,24 @@ def test_tolerance_overrides_flow_through(system_path, tmp_path):
                  "--eq-tol", "1e-7", "--output", str(out)]) == 0
     assert main(["verify", "--input", str(system_path), "--rank-tol", "2",
                  "--output", str(out)]) == 3  # rank_rel must lie in (0, 1)
+
+
+@pytest.mark.parametrize("verb, flag, value", [
+    ("analyze", "--grid-radii", "0.5"),
+    ("realize", "--grid-radii", "0.5"),
+    ("random", "--grid-radii", "0.5"),
+    ("analyze", "--seed", "1"),
+    ("schur", "--seed", "1"),
+    ("realize", "--seed", "1"),
+    ("verify", "--seed", "1"),
+    ("sample", "--seed", "1"),
+    ("sample", "--n-max", "2"),
+    ("random", "--n-max", "2"),
+    ("random", "--input", "sys.json"),
+])
+def test_verb_rejects_flags_it_does_not_read(system_path, tmp_path, verb, flag, value):
+    source = [] if verb == "random" else ["--input", str(system_path)]
+    argv = [verb, *source, "--output", str(tmp_path / "out"), flag, value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

@@ -70,20 +70,20 @@ class TestCnu:
 
 class TestHSubspace:
     def test_nilpotent_lattice(self):
-        assert la.subspace_eq(NILPOTENT.h_subspace(1, 0).space, la.subspace([[0], [1]]))
-        assert la.subspace_eq(NILPOTENT.h_subspace(0, 1).space, la.subspace([[1], [0]]))
-        assert NILPOTENT.h_subspace(1, 1).space.dim == 0
+        assert la.subspace_eq(NILPOTENT.h_subspace(1, 0), la.subspace([[0], [1]]))
+        assert la.subspace_eq(NILPOTENT.h_subspace(0, 1), la.subspace([[1], [0]]))
+        assert NILPOTENT.h_subspace(1, 1).dim == 0
 
     def test_h00_is_full(self, rng):
         a = Contraction(random_contraction_matrix(rng, 3, 3))
-        assert a.h_subspace(0, 0).space.dim == 3
+        assert a.h_subspace(0, 0).dim == 3
 
     def test_zero_scalar(self):
-        assert Contraction([[0.0]]).h_subspace(1, 0).space.dim == 0
+        assert Contraction([[0.0]]).h_subspace(1, 0).dim == 0
 
     def test_chain_nonincreasing(self, rng):
         a = random_cnu(6, 2, rng)
-        dims = [a.h_subspace(n, 0).space.dim for n in range(5)]
+        dims = [a.h_subspace(n, 0).dim for n in range(5)]
         assert all(dims[i] >= dims[i + 1] for i in range(4))
 
 
@@ -150,20 +150,20 @@ class TestC00:
     def test_cnu_intersection_trivial(self, rng):
         # no finite-dimensional c.n.u. contraction contains an isometric part
         a = random_cnu(5, 2, rng)
-        assert a.h_subspace(5, 0).space.dim == 0
-        assert a.h_subspace(0, 5).space.dim == 0
+        assert a.h_subspace(5, 0).dim == 0
+        assert a.h_subspace(0, 5).dim == 0
 
 
 class TestLatticeRelations:
     """Structure of the compressions on random c.n.u. contractions."""
 
     def _image_matches(self, a, n, m):
-        h = a.h_subspace(n, m).space
+        h = a.h_subspace(n, m)
         if h.dim == 0:
             return True
         img = la.image_subspace(a.a, h)
         return la.matnorm_diff(
-            img.projector(), a.h_subspace(n - 1, m + 1).space.projector()
+            img.projector(), a.h_subspace(n - 1, m + 1).projector()
         ) <= 1e-8
 
     def test_image_relation(self, rng):
@@ -178,7 +178,7 @@ class TestLatticeRelations:
             a = random_cnu(6, 2, rng)
             for n in range(0, 2):
                 for m in range(0, 2):
-                    w = a.h_subspace(n, m).space.basis
+                    w = a.h_subspace(n, m).basis
                     comp = a.compress(n, m)
                     for k in (1, 2):
                         dd = la.defect_of(np.linalg.matrix_power(comp, k), a.tol)
@@ -186,17 +186,17 @@ class TestLatticeRelations:
                             amb = la.Subspace(a.dim, w @ dd.kernel.basis)
                         else:
                             amb = la.trivial_space(a.dim)
-                        target = a.h_subspace(n + k, m).space
+                        target = a.h_subspace(n + k, m)
                         assert la.matnorm_diff(amb.projector(), target.projector()) <= 1e-8
 
     def test_compression_of_compression(self, rng):
         for _ in range(4):
             a = random_cnu(7, 2, rng)
-            w = a.h_subspace(1, 0).space.basis
+            w = a.h_subspace(1, 0).basis
             inner = Contraction(a.compress(1, 0), a.tol)
             for k, l in ((1, 0), (0, 1), (1, 1)):
-                v = inner.h_subspace(k, l).space.basis
-                target_basis = a.h_subspace(1 + k, l).space.basis
+                v = inner.h_subspace(k, l).basis
+                target_basis = a.h_subspace(1 + k, l).basis
                 if v.shape[1] == 0:
                     assert target_basis.shape[1] == 0
                     continue
@@ -212,11 +212,11 @@ class TestLatticeRelations:
             a = random_cnu(6, 2, rng)
             for n in range(1, 3):
                 for m in range(0, 2):
-                    hs = a.h_subspace(n, m).space
+                    hs = a.h_subspace(n, m)
                     if hs.dim == 0:
                         continue
                     w = hs.basis
-                    w2 = a.h_subspace(n - 1, m + 1).space.basis
+                    w2 = a.h_subspace(n - 1, m + 1).basis
                     u = adj(w2) @ a.a @ w
                     assert la.matnorm_diff(adj(u) @ u, np.eye(u.shape[1])) <= 1e-8
                     lhs = a.compress(n - 1, m + 1) @ u
@@ -228,7 +228,7 @@ class TestLatticeRelations:
         for _ in range(3):
             a = random_cnu(6, 2, rng)
             for n, m in ((0, 0), (1, 0), (0, 1), (1, 1)):
-                w = a.h_subspace(n, m).space.basis
+                w = a.h_subspace(n, m).basis
                 if w.shape[1] == 0:
                     continue
                 comp_space = la.defect_of(a.compress(n, m), a.tol).space

@@ -475,10 +475,10 @@ class TestTermination:
         seq = gamma_from_realization(sigma, 6)
         for n, gamma in enumerate(seq.gammas):
             stabilized = la.subspace_eq(
-                a.h_subspace(n + 1, 0).space, a.h_subspace(n, 0).space
+                a.h_subspace(n + 1, 0), a.h_subspace(n, 0)
             )
             adj_stabilized = la.subspace_eq(
-                a.h_subspace(0, n + 1).space, a.h_subspace(0, n).space
+                a.h_subspace(0, n + 1), a.h_subspace(0, n)
             )
             assert is_unitary_parameter(gamma) == stabilized
             assert is_unitary_parameter(gamma) == adj_stabilized
@@ -503,19 +503,26 @@ class TestTermination:
         assert [s.dim for s in chain.h_chain][-1] == 0
         assert isinstance(verify_chain(chain), ChainReport)
 
-    def test_one_state_decomposition_per_build(self, monkeypatch):
-        # the input check and the chain read one Contraction of the state
-        sys = random_conservative_system(6, 2, np.random.default_rng(4))
+    @pytest.mark.parametrize(
+        "tol", [la.Tolerance(), la.Tolerance(rank_rel=1e-8, eq_abs=1e-7)],
+        ids=["default", "loose"],
+    )
+    def test_one_state_decomposition_per_build(self, monkeypatch, tol):
+        # the input check and the chain read one Contraction of the state,
+        # and every rank decision is made at the system's tolerance
+        sys = random_conservative_system(6, 2, np.random.default_rng(4), tol)
         init = Contraction.__init__
         states = []
 
         def counting_init(self, a, *args, **kwargs):
-            states.append(np.array_equal(la.cmatrix(a), sys.a))
             init(self, a, *args, **kwargs)
+            states.append((np.array_equal(la.cmatrix(a), sys.a), self.tol is sys.tol))
 
         monkeypatch.setattr(Contraction, "__init__", counting_init)
-        build_chain(sys)
-        assert states == [True]
+        chain = build_chain(sys)
+        assert states == [(True, True)]
+        assert chain.families
+        assert all(s.tol is sys.tol for family in chain.families for s in family)
 
 
 def _sigma_blocks(a: Contraction):
@@ -531,7 +538,7 @@ class TestCharFunctionMoebius:
         for _ in range(4):
             a = random_cnu(5, 2, rng)
             z = moebius_parameter(char_function(a))
-            ker = a.h_subspace(1, 0).space
+            ker = a.h_subspace(1, 0)
             cal = Contraction(a.a @ ker.projector())
             psi = char_function(cal)
             theta0 = char_function(a)(0)
@@ -553,7 +560,7 @@ class TestCharFunctionMoebius:
         assert max(la.matnorm_diff(z(lam), lam * np.eye(4)) for lam in GRID) <= 1e-10
         # nontrivial kernel: inclusion fails and Z deviates from lambda I
         b = random_cnu(4, 2, rng)
-        assert b.h_subspace(1, 0).space.dim > 0
+        assert b.h_subspace(1, 0).dim > 0
         assert not b.defect_astar.contains(b.defect_a)
         zb = moebius_parameter(char_function(b))
         dev = max(
