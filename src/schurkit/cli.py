@@ -75,7 +75,8 @@ def _emit(ns: argparse.Namespace, text: str):
 
 def _state_of(sys: DiscreteSystem) -> Contraction | None:
     """One Contraction of the state, shared by the classification and the
-    defect profile; None for a zero-dimensional state."""
+    defect profile; None for a zero-dimensional state.  ``verify`` reads
+    the chain's own instead."""
     return Contraction(sys.a, sys.tol) if sys.state_dim else None
 
 
@@ -163,7 +164,7 @@ def _run_verify(ns: argparse.Namespace) -> int:
         _emit(ns, serialize.dumps(out))
         return EXIT_RESIDUAL
     chain, report = _build_verified_chain(ns, system)
-    state = _state_of(system)
+    state = chain.state if system.state_dim else None
     out = {
         "classification": _classification_json(system, state),
         "defect_profile": _defect_profile_json(state, ns.n_max),

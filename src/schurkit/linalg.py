@@ -2,7 +2,10 @@
 
 All matrices are 2-D ``numpy`` arrays of ``complex128``; zero-dimensional
 shapes such as ``(p, 0)`` are legal everywhere and behave like the empty
-operator between the corresponding spaces.  Every rank decision in the
+operator between the corresponding spaces.  The norm and defect helpers
+also take stacks ``(..., rows, cols)`` and then answer per matrix; numpy's
+stacked kernels return, bit for bit, what they return for each matrix.
+Every rank decision in the
 package funnels through one relative cutoff, ``Tolerance.rank_rel``:
 singular values of a matrix are cut at ``rank_rel`` times the largest one,
 while defects and intersections are decided on a squared scale, where
@@ -68,35 +71,44 @@ def eye(n: int) -> np.ndarray:
 
 
 def adj(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return m.conj().swapaxes(-2, -1)
 
 
-def opnorm(m: np.ndarray) -> float:
-    """Operator (spectral) norm; 0 for empty matrices."""
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.norm(m, 2))
+def opnorm(m: np.ndarray):
+    """Operator (spectral) norm; 0 for empty matrices.  A float for a
+    matrix, an array of norms for a stack.
+
+    The largest singular value, which LAPACK returns first: the bits of
+    ``np.linalg.norm(m, 2)``, without the axis handling that costs small
+    matrices more than the SVD itself.
+    """
+    norms = np.linalg.svd(m, compute_uv=False)[..., 0] if m.size else np.zeros(m.shape[:-2])
+    return float(norms) if m.ndim == 2 else norms
 
 
-def matnorm_diff(a: np.ndarray, b: np.ndarray) -> float:
-    """Spectral norm of a - b; infinity when shapes differ."""
+def matnorm_diff(a: np.ndarray, b: np.ndarray):
+    """Spectral norm of a - b, per matrix for stacks; infinity when shapes
+    differ."""
     if a.shape != b.shape:
         return float("inf")
     return opnorm(a - b)
 
 
-def stack_matnorm_diff(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest spectral norm of a[i] - b[i] over two (P, rows, cols)
-    stacks; infinity when shapes differ, 0 for an empty stack."""
+def stack_matnorm_diff(a: np.ndarray, b: np.ndarray):
+    """Largest spectral norm of a[..., i, :, :] - b[..., i, :, :] over the
+    point axis i of two (..., P, rows, cols) stacks: a float for (P, rows,
+    cols) stacks, one value per leading index otherwise.  Infinity when
+    shapes differ, 0 for an empty point axis."""
     if a.shape != b.shape:
         return float("inf")
-    return float(np.linalg.norm(a - b, 2, axis=(-2, -1)).max(initial=0.0))
+    worst = matnorm_diff(a, b).max(axis=-1, initial=0.0)
+    return float(worst) if a.ndim == 3 else worst
 
 
 def solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a[i] x[i] = b[i] for a (P, n, n) stack ``a``; ``b`` is one
-    (n, k) right-hand side shared by every point, or a (P, n, k) stack.
+    """Solve a[i] x[i] = b[i] for a stack ``a`` (..., n, n); ``b``, one
+    (..., n, k) right-hand side, is broadcast against the leading axes.
 
     ``b`` is broadcast explicitly: numpy before 2.0 reads a 2-D ``b`` next
     to a 3-D ``a`` as a stack of vectors.
@@ -104,12 +116,11 @@ def solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(a, np.broadcast_to(b, a.shape[:-1] + b.shape[-1:]))
 
 
-def unitarity_residual(m: np.ndarray) -> float:
-    """max(||M*M - I||, ||MM* - I||); 0 exactly when M is unitary."""
-    return max(
-        matnorm_diff(adj(m) @ m, eye(m.shape[1])),
-        matnorm_diff(m @ adj(m), eye(m.shape[0])),
-    )
+def unitarity_residual(m: np.ndarray):
+    """max(||M*M - I||, ||MM* - I||); 0 exactly when M is unitary.  Per
+    matrix for a stack."""
+    gaps = (opnorm(adj(m) @ m - eye(m.shape[-1])), opnorm(m @ adj(m) - eye(m.shape[-2])))
+    return np.maximum(*gaps) if m.ndim > 2 else max(gaps)
 
 
 @dataclass(frozen=True)
@@ -204,42 +215,64 @@ class DefectData:
     kernel: Subspace
 
 
+def defect_stack(x: np.ndarray, tol: Tolerance = DEFAULT_TOL, adjoint: bool = False):
+    """The defect rank decision of :func:`defect_of` on a stack ``x``
+    (..., rows, cols), one decision per matrix.
+
+    Returns ``(op, op_pinv, vecs, keep, lowest)``: the defect operators and
+    their pseudo-inverses, the eigenvectors of I - X*X (I - XX* with
+    ``adjoint``) in ascending order of eigenvalue, the mask of the kept
+    eigenvalues (always a suffix), and the lowest eigenvalue capped at 0,
+    below -eq_abs when X is no contraction.
+    """
+    n = x.shape[-2] if adjoint else x.shape[-1]
+    h = eye(n) - (x @ adj(x) if adjoint else adj(x) @ x)
+    h = (h + adj(h)) / 2.0
+    w, v = np.linalg.eigh(h)
+    lowest = w.min(axis=-1, initial=0.0)
+    w = np.clip(w, 0.0, None)
+    keep = w > tol.rank_rel * np.maximum(1.0, w[..., -1:])
+    s = np.where(keep, np.sqrt(w), 0.0)[..., None, :]
+    op = (v * s) @ adj(v)
+    op = (op + adj(op)) / 2.0
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep[..., None, :])
+    op_pinv = (v * inv) @ adj(v)
+    op_pinv = (op_pinv + adj(op_pinv)) / 2.0
+    return op, op_pinv, v, keep, lowest
+
+
+def defect_basis(vecs: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the defect space: the columns of ``vecs`` that
+    ``keep``, one mask shared by a stack, selects; a full defect space is
+    canonicalized to the identity basis.
+
+    The columns are a column-major copy, as fancy indexing makes them.  The
+    layout of a basis picks the BLAS path of the products it enters, and
+    with it their last bits, so stacks and single matrices share it.
+    """
+    return eye(keep.size) if keep.all() else vecs[..., keep]
+
+
 def defect_of(x: np.ndarray, tol: Tolerance = DEFAULT_TOL, adjoint: bool = False) -> DefectData:
     """Defect data of a contraction, decided on the squared defect.
 
     The rank call is made on the eigenvalues of I - X*X, whose rounding
     noise is of machine-epsilon size; deciding on the square-root scale
     would amplify that noise to its square root and swallow genuine kernel
-    directions.  Eigenvalues at or below rank_rel (the defect spectrum
-    lives in [0, 1]) are treated as exact zeros, so ``op`` vanishes on the
-    kernel and ``op @ op_pinv`` is the projector onto the defect space.
+    directions.  Eigenvalues at or below rank_rel times max(1, largest)
+    (the defect spectrum lives in [0, 1]) are treated as exact zeros, so
+    ``op`` vanishes on the kernel and ``op @ op_pinv`` is the projector onto
+    the defect space.
     """
     x = cmatrix(x)
     n = x.shape[0] if adjoint else x.shape[1]
-    if n == 0:
-        e = zeros(0, 0)
-        return DefectData(e, e, trivial_space(0), trivial_space(0))
-    h = eye(n) - (x @ adj(x) if adjoint else adj(x) @ x)
-    h = (h + adj(h)) / 2.0
-    w, v = np.linalg.eigh(h)
-    if w[0] < -tol.eq_abs:
+    op, op_pinv, v, keep, lowest = defect_stack(x, tol, adjoint)
+    if lowest < -tol.eq_abs:
         raise IndefiniteBeyondTolerance(
-            f"defect eigenvalue {w[0]:.3e} < -eq_abs; not a contraction"
+            f"defect eigenvalue {lowest:.3e} < -eq_abs; not a contraction"
         )
-    w = np.clip(w, 0.0, None)
-    cut = tol.rank_rel * max(1.0, float(w[-1]))
-    keep = w > cut
-    s = np.where(keep, np.sqrt(w), 0.0)
-    op = (v * s) @ adj(v)
-    op = (op + adj(op)) / 2.0
-    inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
-    op_pinv = (v * inv) @ adj(v)
-    op_pinv = (op_pinv + adj(op_pinv)) / 2.0
     k = int(np.sum(keep))
-    if k == n:
-        space = full_space(n)
-    else:
-        space = Subspace(n, v[:, keep])
+    space = Subspace(n, defect_basis(v, keep))
     if k == 0:
         kernel = full_space(n)
     elif k == n:

@@ -40,13 +40,14 @@ from .systems import (
     DiscreteSystem,
     PureSplit,
     SampledFunction,
-    char_function,
+    char_stack,
     const_function,
     discrete_system,
     disk_grid,
     grid_distance,
     intertwining_residual,
     pure_part,
+    transfer_stack,
     unitarily_similar,  # noqa: F401  re-exported: the independent similarity search
 )
 
@@ -534,6 +535,7 @@ class SchurChain:
     """Everything the realization route produces for one source system."""
 
     source: DiscreteSystem
+    state: Contraction  # the source state, whose lattice the chain reads
     params: ChoiceSequence
     h_chain: list[Subspace]
     families: list[list[DiscreteSystem]]  # families[j] realizes iterate j+1
@@ -564,7 +566,7 @@ def build_chain(sys: DiscreteSystem, n_max: int | None = None) -> SchurChain:
             break
         families.append(chain.family(n))
         lattice.append([chain.state.h_subspace(n - k, k).basis for k in range(n + 1)])
-    return SchurChain(sys, chain.choice(), h_chain, families, lattice)
+    return SchurChain(sys, chain.state, chain.choice(), h_chain, families, lattice)
 
 
 def _lattice_intertwiner(chain: SchurChain, j: int, k: int) -> np.ndarray:
@@ -636,6 +638,12 @@ def verify_chain(chain: SchurChain, grid=None) -> ChainReport:
     H(n-k, k) and A the source state: it is built from the source, not from
     the family blocks, so it certifies them rather than fits them.  Every
     rank decision and comparison is made at the source system's tolerance.
+
+    Each family is checked as stacks of its members, one stack per state
+    dimension (one in every correct chain), so that each kind of work is
+    one stacked numpy call; the similarities stay per pair.  A member whose
+    state dimension differs from its neighbours' is reported, not raised:
+    the similarities that pair it are inf.
     """
     tol = chain.source.tol
     pts = np.asarray(disk_grid() if grid is None else grid, dtype=complex)
@@ -690,20 +698,20 @@ def verify_chain(chain: SchurChain, grid=None) -> ChainReport:
             split = pure_part(psi @ theta_o(0) @ adj(omega), tol)
         except SchurkitError:
             split = None
-        transfers = [s.sampled().on(pts) for s in family]
-        for k, s in enumerate(family):
-            report.add("unitarity", f"{n},{k}", la.unitarity_residual(s.colligation()))
-            report.add("transfer_oracle", f"{n},{k}", grid_distance(transfers[k], aligned, pts))
-            try:
-                pure_resid = _pure_char_residual(s, split, aligned, pts, tol)
-            except SchurkitError:
-                pure_resid = float("inf")
-            report.add("pure_char", f"{n},{k}", pure_resid)
+        unitarity = np.empty(len(family))
+        transfers = np.empty((len(family),) + aligned.shape, dtype=complex)
+        for members, blocks in _state_groups(family):
+            unitarity[members] = la.unitarity_residual(_colligations(*blocks))
+            transfers[members] = transfer_stack(*blocks, pts)
+        to_oracle = grid_distance(transfers, np.broadcast_to(aligned, transfers.shape), pts)
+        pure = _pure_char_residual(family, split, aligned, pts, tol)
+        for k in range(len(family)):
+            report.add("unitarity", f"{n},{k}", unitarity[k])
+            report.add("transfer_oracle", f"{n},{k}", to_oracle[k])
+            report.add("pure_char", f"{n},{k}", pure[k])
+        across_k = grid_distance(transfers[:-1], transfers[1:], pts)
         for k in range(len(family) - 1):
-            report.add(
-                "transfer_across_k", f"{n},{k}",
-                grid_distance(transfers[k], transfers[k + 1], pts),
-            )
+            report.add("transfer_across_k", f"{n},{k}", across_k[k])
             u = _lattice_intertwiner(chain, idx, k)
             fits = u.shape == (family[k + 1].state_dim, family[k].state_dim)
             report.add(
@@ -713,26 +721,69 @@ def verify_chain(chain: SchurChain, grid=None) -> ChainReport:
     return report
 
 
-def _pure_char_residual(s: DiscreteSystem, split: PureSplit | None, theta: np.ndarray,
-                        pts: np.ndarray, tol: Tolerance) -> float:
+def _index_groups(keys) -> list[np.ndarray]:
+    """Positions of equal keys, one array per distinct key, in order of
+    first appearance."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return [np.array(g) for g in groups.values()]
+
+
+def _state_groups(family: list[DiscreteSystem]):
+    """The members of ``family`` grouped by state dimension: per group the
+    member positions and the (d, c, b, a) blocks stacked along a leading
+    member axis."""
+    for members in _index_groups(s.state_dim for s in family):
+        yield members, tuple(np.array([getattr(family[i].block, blk) for i in members])
+                             for blk in "dcba")
+
+
+def _colligations(d, c, b, a) -> np.ndarray:
+    """The colligations [D C; B A] of a stack of systems."""
+    return np.concatenate([np.concatenate([d, c], -1), np.concatenate([b, a], -1)], -2)
+
+
+def _pure_char_residual(family: list[DiscreteSystem], split: PureSplit | None,
+                        theta: np.ndarray, pts: np.ndarray, tol: Tolerance) -> np.ndarray:
     """Pure part of the oracle iterate against the characteristic function
-    of the adjoint of the state of ``s``, conjugated by the isometries that
-    the anchored parametrization of the colligation provides.
+    of the adjoint of the state of each member of ``family``, conjugated by
+    the isometries that the anchored parametrization of the member's
+    colligation provides; one residual per member.
 
     ``theta`` is the iterate's stack on ``pts`` and ``split`` its pure split
-    at 0, None when that split failed; the residual is inf then, and when
-    the colligation of ``s`` is no contraction.  K = C D_A^+ U_A and
+    at 0, None when that split failed.  K = C D_A^+ U_A and
     M = U_A*^* D_A*^+ B come from the defect data of A* that the
-    characteristic function holds: the defect of A is the adjoint defect
-    of A*, and the reverse.
+    characteristic function holds: the defect of A is the adjoint defect of
+    A*, and the reverse.  Members are stacked by state dimension, and then
+    by the ranks of D_A and D_A* so that their defect bases stack.  A
+    member's residual is inf, and no other member's, when ``split`` is
+    None, when its colligation or its state is no contraction, or when a
+    defect eigenvalue lies below -eq_abs.
     """
-    if split is None or not la.is_contraction(s.colligation(), tol):
-        return float("inf")
-    state_star = Contraction(adj(s.a), tol)
-    d_a, d_astar = state_star.defect_data_star, state_star.defect_data
-    k = s.c @ d_a.op_pinv @ d_a.space.basis
-    m = adj(d_astar.space.basis) @ d_astar.op_pinv @ s.b
-    phi = char_function(state_star)
+    resid = np.full(len(family), np.inf)
+    if split is None:
+        return resid
     ep, fp = split.dom_pure.basis, split.cod_pure.basis
-    return la.stack_matnorm_diff(adj(fp) @ theta @ ep,
-                                 adj(fp) @ (k @ phi.on(pts) @ m) @ ep)
+    target = adj(fp) @ theta @ ep
+    bound = 1.0 + tol.eq_abs
+    for members, (d, c, b, a) in _state_groups(family):
+        contractive = ((la.opnorm(_colligations(d, c, b, a)) <= bound)
+                       & (la.opnorm(adj(a)) <= bound))
+        members, c, b, a = (x[contractive] for x in (members, c, b, a))
+        a_star = adj(a)
+        # D_A* and D_A: the defect and the adjoint defect of A*
+        op_as, pinv_as, vecs_as, keep_as, low_as = la.defect_stack(a_star, tol)
+        op_a, pinv_a, vecs_a, keep_a, low_a = la.defect_stack(a_star, tol, adjoint=True)
+        definite = np.flatnonzero(np.minimum(low_a, low_as) >= -tol.eq_abs)
+        ranks = zip(keep_a[definite].sum(-1), keep_as[definite].sum(-1))
+        for sel in (definite[g] for g in _index_groups(ranks)):
+            basis_a = la.defect_basis(vecs_a[sel], keep_a[sel[0]])
+            basis_as = la.defect_basis(vecs_as[sel], keep_as[sel[0]])
+            k = c[sel] @ pinv_a[sel] @ basis_a
+            m = adj(basis_as) @ pinv_as[sel] @ b[sel]
+            phi = char_stack(a_star[sel], op_as[sel], op_a[sel], basis_as, basis_a, pts)
+            model = adj(fp) @ (k[:, None] @ phi @ m[:, None]) @ ep
+            resid[members[sel]] = la.stack_matnorm_diff(np.broadcast_to(target, model.shape),
+                                                         model)
+    return resid

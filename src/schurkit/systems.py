@@ -86,11 +86,25 @@ def grid_distance(f: SampledFunction | np.ndarray, g: SampledFunction | np.ndarr
     """Max spectral-norm deviation over the grid; inf on shape mismatch.
 
     ``f`` and ``g`` are functions, or their (P, out, in) stacks already
-    sampled on the grid.
+    sampled on the grid; (K, P, out, in) stacks give one distance per k.
     """
     pts = disk_grid() if grid is None else grid
     a, b = (x.on(pts) if isinstance(x, SampledFunction) else x for x in (f, g))
     return la.stack_matnorm_diff(a, b)
+
+
+def transfer_stack(d: np.ndarray, c: np.ndarray, b: np.ndarray, a: np.ndarray,
+                   pts: np.ndarray) -> np.ndarray:
+    """Theta(lambda) = D + lambda C (I - lambda A)^{-1} B on a 1-D array of
+    P points, by one stacked solve of I - lambda A.
+
+    The blocks are matrices, giving a (P, out, in) stack, or (K, ...)
+    stacks of the blocks of K systems, giving (K, P, out, in).
+    """
+    lam = pts[:, None, None]
+    d, c, b, a = (m[..., None, :, :] for m in (d, c, b, a))
+    resolvent = la.solve_stack(la.eye(a.shape[-1]) - lam * a, b)
+    return d + lam * (c @ resolvent)
 
 
 @dataclass(frozen=True)
@@ -173,10 +187,7 @@ class DiscreteSystem:
         return SampledFunction(self.in_dim, self.out_dim, self._transfer_stack)
 
     def _transfer_stack(self, pts: np.ndarray) -> np.ndarray:
-        """One stacked solve of I - lambda A over all points."""
-        lam = pts[:, None, None]
-        resolvent = la.solve_stack(la.eye(self.state_dim) - lam * self.a, self.b)
-        return self.d + lam * (self.c @ resolvent)
+        return transfer_stack(self.d, self.c, self.b, self.a, pts)
 
     def simulate(self, inputs: Sequence[np.ndarray], h0=None):
         """Run the recursion; returns (states, outputs) with len(states) =
@@ -283,16 +294,26 @@ def char_colligation(a: Contraction) -> DiscreteSystem:
 
 def char_function(a: Contraction) -> SampledFunction:
     """Characteristic function of A in the defect bases of A and A*."""
-    u = a.defect_a.basis
-    v = a.defect_astar.basis
-    d = a.dim
 
     def evaluate(pts: np.ndarray) -> np.ndarray:
-        lam = pts[:, None, None]
-        core = -a.a + lam * (a.d_astar @ la.solve_stack(la.eye(d) - lam * adj(a.a), a.d_a))
-        return adj(v) @ core @ u
+        return char_stack(a.a, a.d_a, a.d_astar, a.defect_a.basis, a.defect_astar.basis, pts)
 
     return SampledFunction(a.defect_a.dim, a.defect_astar.dim, evaluate)
+
+
+def char_stack(a: np.ndarray, d_a: np.ndarray, d_astar: np.ndarray, u: np.ndarray,
+               v: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """V* (-A + lambda D_A* (I - lambda A*)^{-1} D_A) U, the characteristic
+    function of A, on a 1-D array of P points; ``u`` and ``v`` are bases of
+    the defect spaces of A and A*.
+
+    The arguments are matrices, giving a (P, dim D_A*, dim D_A) stack, or
+    (K, ...) stacks for K contractions, giving (K, P, ...).
+    """
+    lam = pts[:, None, None]
+    a, d_a, d_astar, u, v = (m[..., None, :, :] for m in (a, d_a, d_astar, u, v))
+    core = -a + lam * (d_astar @ la.solve_stack(la.eye(a.shape[-1]) - lam * adj(a), d_a))
+    return adj(v) @ core @ u
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import pytest
 
 from schurkit import serialize
 from schurkit.cli import main
+from schurkit.contractions import Contraction
 from schurkit.errors import SchurkitError
 from conftest import permutation_colligation
 
@@ -108,6 +109,21 @@ def test_verify_pass_and_determinism(system_path, tmp_path):
     report = json.loads(r1.read_text())
     assert report["pass"] is True
     assert report["termination_step"] is not None
+
+
+def test_verify_decomposes_the_source_state_once(system_path, tmp_path, monkeypatch):
+    # the classification and the defect profile read the chain's state
+    source = serialize.system_from_json(json.loads(system_path.read_text())).a
+    init = Contraction.__init__
+    built = []
+
+    def counting_init(self, a, *args, **kwargs):
+        built.append(np.array_equal(np.asarray(a), source))
+        init(self, a, *args, **kwargs)
+
+    monkeypatch.setattr(Contraction, "__init__", counting_init)
+    assert main(["verify", "--input", str(system_path), "--output", str(tmp_path / "r")]) == 0
+    assert built.count(True) == 1
 
 
 def test_verify_rejects_corruption(system_path, tmp_path):

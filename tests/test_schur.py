@@ -283,7 +283,79 @@ class TestIterateSystems:
                 assert intertwining_residual(family[k], family[k + 1], u) <= 1e-7
 
 
+def member_reference(chain) -> dict:
+    """The unitarity, transfer and similarity residuals of verify_chain,
+    computed member by member from public functions on the default grid;
+    a similarity whose intertwiner does not fit its pair is left out."""
+    pts = np.asarray(GRID)
+    seq = chain.params
+    oracle = schur_oracle(chain.source.sampled(), len(seq) - 1)
+    ref = {}
+    for j, family in enumerate(chain.families[: len(oracle.iterates) - 1]):
+        n = j + 1
+        omega = adj(seq.doms[n]) @ oracle.doms[n]
+        psi = adj(seq.codoms[n]) @ oracle.codoms[n]
+        aligned = psi @ oracle.iterates[n].on(pts) @ adj(omega)
+        for k, s in enumerate(family):
+            ref[f"unitarity[{n},{k}]"] = la.unitarity_residual(s.colligation())
+            ref[f"transfer_oracle[{n},{k}]"] = grid_distance(s.sampled(), aligned, pts)
+        for k, (s, t) in enumerate(zip(family, family[1:])):
+            ref[f"transfer_across_k[{n},{k}]"] = grid_distance(s.sampled(), t.sampled(), pts)
+            u = _lattice_intertwiner(chain, j, k)
+            if u.shape == (t.state_dim, s.state_dim):
+                ref[f"similarity[{n},{k}]"] = intertwining_residual(s, t, u)
+    return ref
+
+
+def _direct_sum_with_rotation(s, angle: float):
+    """``s`` with a decoupled 1x1 unitary state added: the same transfer
+    function and a unitary colligation, on one more state dimension."""
+    d = s.state_dim
+    a = np.zeros((d + 1, d + 1), dtype=complex)
+    a[:d, :d] = s.a
+    a[d, d] = np.exp(1j * angle)
+    b = np.vstack([s.b, np.zeros((1, s.in_dim))])
+    c = np.hstack([s.c, np.zeros((s.out_dim, 1))])
+    return discrete_system(s.d, c, b, a)
+
+
 class TestVerifyChain:
+    @pytest.mark.parametrize("state_dim, io_dim", [(6, 1), (8, 2), (3, 5), (1, 1)])
+    def test_residuals_equal_member_by_member_reference(self, state_dim, io_dim):
+        # each family is checked as one stack; every residual must be the
+        # one its member gives alone, bit for bit
+        for seed in range(5):
+            chain = build_chain(random_conservative_system(
+                state_dim, io_dim, np.random.default_rng(seed)))
+            ref = member_reference(chain)
+            got = {key: value for key, value in verify_chain(chain).residuals.items()
+                   if key.startswith(("unitarity[", "transfer_", "similarity["))}
+            assert got == ref
+
+    def test_ragged_family_is_reported(self):
+        # a member on a larger state space cannot stack with its family: it
+        # is checked on its own, and only the similarities that pair it fail
+        chain = build_chain(random_conservative_system(6, 1, np.random.default_rng(2)))
+        family = [list(f) for f in chain.families]
+        n, k = 2, 1
+        family[n - 1][k] = _direct_sum_with_rotation(family[n - 1][k], 0.7)
+        ragged = dataclasses.replace(chain, families=family)
+        report = verify_chain(ragged).residuals
+        assert report[f"similarity[{n},{k - 1}]"] == float("inf")
+        assert report[f"similarity[{n},{k}]"] == float("inf")
+        ref = member_reference(ragged)
+        as_alone = [f"unitarity[{n},{k}]", f"transfer_oracle[{n},{k}]",
+                    f"transfer_across_k[{n},{k - 1}]", f"transfer_across_k[{n},{k}]"]
+        for key in as_alone:
+            assert report[key] == ref[key]
+        assert report[f"pure_char[{n},{k}]"] <= CHAIN_THRESHOLDS["pure_char"]
+        own = as_alone + [f"pure_char[{n},{k}]",
+                          f"similarity[{n},{k - 1}]", f"similarity[{n},{k}]"]
+        base = verify_chain(chain).residuals
+        assert list(report) == list(base)
+        assert {key: v for key, v in report.items() if key not in own} == {
+            key: v for key, v in base.items() if key not in own}
+
     def test_square_anchor(self):
         report = verify_chain(build_chain(permutation_colligation()))
         assert report.ok
@@ -355,9 +427,10 @@ class TestVerifyChain:
         assert len(calls) < 1000
 
     def test_defect_decompositions_stay_within_budget(self, monkeypatch):
-        # each parameter is decomposed once for the chain and each member's
-        # state once for its pure_char isometries (445 decompositions when
-        # every call site decomposed again, 211 now)
+        # each parameter is decomposed once for the chain; pure_char
+        # decomposes the member states of a family as one stack, outside
+        # defect_of (445 decompositions when every call site decomposed
+        # again, 208 with one pure_char decomposition per member, 100 now)
         sys = random_conservative_system(10, 1, np.random.default_rng(1))
         defect_of = la.defect_of
         calls = []
@@ -385,16 +458,17 @@ class TestVerifyChain:
         residual = schur_mod._pure_char_residual
         expected = []
 
-        def with_reference(s, split, theta, pts, tol):
-            try:
-                kmx = decompose_kmx(s.block, tol)
-                phi = char_function(Contraction(adj(s.a), tol))
-                ep, fp = split.dom_pure.basis, split.cod_pure.basis
-                expected.append(la.stack_matnorm_diff(
-                    adj(fp) @ theta @ ep, adj(fp) @ (kmx.k @ phi.on(pts) @ kmx.m) @ ep))
-            except SchurkitError:
-                expected.append(float("inf"))
-            return residual(s, split, theta, pts, tol)
+        def with_reference(members, split, theta, pts, tol):
+            for s in members:
+                try:
+                    kmx = decompose_kmx(s.block, tol)
+                    phi = char_function(Contraction(adj(s.a), tol))
+                    ep, fp = split.dom_pure.basis, split.cod_pure.basis
+                    expected.append(la.stack_matnorm_diff(
+                        adj(fp) @ theta @ ep, adj(fp) @ (kmx.k @ phi.on(pts) @ kmx.m) @ ep))
+                except SchurkitError:
+                    expected.append(float("inf"))
+            return residual(members, split, theta, pts, tol)
 
         monkeypatch.setattr(schur_mod, "_pure_char_residual", with_reference)
         report = verify_chain(dataclasses.replace(chain, families=family))
@@ -403,6 +477,22 @@ class TestVerifyChain:
         assert reported == expected
         assert report.residuals[f"pure_char[{len(family)},0]"] == float("inf")
         assert reported.count(float("inf")) == 1
+
+    def test_indefinite_defect_fails_its_member_alone(self):
+        # scaled by 1 + 0.8e-9, a member passes both norm checks at eq_abs,
+        # but I - A*A has an eigenvalue near -1.6e-9 < -eq_abs
+        chain = build_chain(random_conservative_system(6, 1, np.random.default_rng(1)))
+        family = [list(f) for f in chain.families]
+        victim = family[1][1]
+        family[1][1] = discrete_system(*((1 + 0.8e-9) * blk for blk in (
+            victim.d, victim.c, victim.b, victim.a)))
+        assert la.opnorm(family[1][1].colligation()) <= 1 + la.DEFAULT_TOL.eq_abs
+        report = verify_chain(dataclasses.replace(chain, families=family)).residuals
+        base = verify_chain(chain).residuals
+        pure = {key: v for key, v in report.items() if key.startswith("pure_char[")}
+        assert pure.pop("pure_char[2,1]") == float("inf")
+        assert pure == {key: v for key, v in base.items()
+                        if key.startswith("pure_char[") and key != "pure_char[2,1]"}
 
     def test_family_at_breakdown_step_is_compared(self, monkeypatch, rng):
         # a breakdown at step 2 leaves iterate 2 formed but without its
