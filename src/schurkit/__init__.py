@@ -25,7 +25,7 @@ from .blockparam import (
     split_blocks,
     unitary_link,
 )
-from .contractions import Contraction, DefectProfile, defect
+from .contractions import Contraction, DefectProfile
 from .linalg import (
     DEFAULT_TOL,
     Subspace,

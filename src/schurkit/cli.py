@@ -88,10 +88,6 @@ def _defect_profile_json(state: Contraction | None, n_max: int | None):
     return {"delta": profile.delta, "delta_star": profile.delta_star}
 
 
-def _classification_json(sys: DiscreteSystem, state: Contraction | None = None) -> dict:
-    return sys.classify(state).as_dict()
-
-
 def _iterates_json(chain) -> list:
     return [
         [serialize.system_to_json(s, s.classify().as_dict()) for s in family]
@@ -115,7 +111,7 @@ def _run_analyze(ns: argparse.Namespace) -> int:
     out = {
         "dims": {"input": system.in_dim, "output": system.out_dim,
                  "state": system.state_dim},
-        "classification": _classification_json(system, state),
+        "classification": system.classify(state).as_dict(),
         "defect_profile": _defect_profile_json(state, ns.n_max),
     }
     _emit(ns, serialize.dumps(out))
@@ -153,7 +149,7 @@ def _run_verify(ns: argparse.Namespace) -> int:
     gate = la.unitarity_residual(system.colligation())
     if gate > _VERIFY_GATE:
         out = {
-            "classification": _classification_json(system),
+            "classification": system.classify().as_dict(),
             "defect_profile": None,
             "gammas": [],
             "termination_step": None,
@@ -166,7 +162,7 @@ def _run_verify(ns: argparse.Namespace) -> int:
     chain, report = _build_verified_chain(ns, system)
     state = chain.state if system.state_dim else None
     out = {
-        "classification": _classification_json(system, state),
+        "classification": system.classify(state).as_dict(),
         "defect_profile": _defect_profile_json(state, ns.n_max),
         "gammas": [la.matrix_to_json(g) for g in chain.params.gammas],
         "termination_step": chain.termination_step,

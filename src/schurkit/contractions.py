@@ -155,8 +155,3 @@ class Contraction:
             return True
         radius = float(np.max(np.abs(np.linalg.eigvals(self.a))))
         return radius < 1.0 - self.tol.rank_rel
-
-
-def defect(a: Contraction) -> tuple[np.ndarray, np.ndarray, Subspace, Subspace]:
-    """(D_A, D_A*, defect subspace of A, defect subspace of A*)."""
-    return a.d_a, a.d_astar, a.defect_a, a.defect_astar

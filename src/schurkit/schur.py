@@ -11,9 +11,9 @@ on the state spaces H(n-k, k).  The two routes are tied together by
 and reports residuals.
 
 All parameter matrices are expressed in orthonormal defect bases produced
-by :func:`~schurkit.linalg.defect_of`; the ``doms``/``codoms`` lists
-record those bases as absolute subspaces of the original input and output
-spaces so that quantities computed on different sides stay comparable.
+by :func:`~schurkit.linalg.defect_of`, once per parameter; a choice
+sequence records those decompositions and the bases as absolute subspaces
+of the input and output spaces, so that both sides stay comparable.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .errors import (
     RangeInclusionViolated,
     RankInconsistency,
     SchurkitError,
+    ShapeMismatch,
     Terminated,
     UnitaryParameter,
     UnitaryTheta0,
@@ -69,6 +70,14 @@ def is_unitary_parameter(g: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     return bool(np.all(np.abs(s - 1.0) <= 10.0 * tol.rank_rel))
 
 
+DefectPair = tuple[la.DefectData, la.DefectData]
+
+
+def _defect_pair(g: np.ndarray, tol: Tolerance) -> DefectPair:
+    """(D(g), D(g*)): the decompositions one Schur step is made of."""
+    return la.defect_of(g, tol), la.defect_of(g, tol, adjoint=True)
+
+
 # Quadrature circle for the removable singularity at 0: the mean over
 # _LIMIT_POINTS equispaced points at radius _LIMIT_RADIUS is the Cauchy
 # integral picking the constant coefficient; for a Schur-class integrand
@@ -95,8 +104,8 @@ class _DividedEvaluator:
 
     def __init__(self, theta: SampledFunction, gamma: np.ndarray, tol: Tolerance,
                  divide: bool):
-        dd = la.defect_of(gamma, tol)
-        dds = la.defect_of(gamma, tol, adjoint=True)
+        self.defects = _defect_pair(gamma, tol)
+        dd, dds = self.defects
         self.dom, self.cod = dd.space, dds.space
         self.theta, self.gamma, self.divide = theta, gamma, divide
         self.d_restr = adj(self.cod.basis) @ dds.op @ self.cod.basis
@@ -177,12 +186,14 @@ def moebius_compose(gamma: np.ndarray, theta_next: SampledFunction,
     gamma = la.cmatrix(gamma)
     if not la.is_contraction(gamma, tol):
         raise NotContraction("Schur parameter must be a contraction")
-    dd = la.defect_of(gamma, tol)
-    dds = la.defect_of(gamma, tol, adjoint=True)
+    return _compose(gamma, theta_next, *_defect_pair(gamma, tol))
+
+
+def _compose(gamma: np.ndarray, theta_next: SampledFunction, dd: la.DefectData,
+             dds: la.DefectData) -> SampledFunction:
+    """:func:`moebius_compose` of a contraction with its defect pair."""
     e, f = dd.space, dds.space
     if (theta_next.in_dim, theta_next.out_dim) != (e.dim, f.dim):
-        from .errors import ShapeMismatch
-
         raise ShapeMismatch(
             f"iterate acts on {(theta_next.out_dim, theta_next.in_dim)}, defects of the "
             f"parameter have dims {(f.dim, e.dim)}"
@@ -200,49 +211,62 @@ def moebius_compose(gamma: np.ndarray, theta_next: SampledFunction,
 
 @dataclass(frozen=True)
 class ChoiceSequence:
-    """A finite choice sequence with its recorded defect bases.
+    """A finite choice sequence with its recorded defect decompositions.
 
     ``gammas[0]`` maps the input space into the output space; for n >= 1,
-    ``gammas[n]`` is expressed in the bases recorded as ``doms[n]`` and
-    ``codoms[n]``, which are absolute orthonormal bases (inside the input
-    and output spaces) of the defect spaces of the previous parameter.
-    ``terminated`` means the last parameter is unitary.
+    ``gammas[n]`` acts between the defect spaces of ``gammas[n-1]``, whose
+    pair (D(Gamma_{n-1}), D(Gamma*_{n-1})) the route recorded, at ``tol``,
+    as ``defects[n-1]``.  ``doms[n]`` and ``codoms[n]`` are the bases of
+    that pair as absolute orthonormal bases (inside the input and output
+    spaces).  ``terminated`` means the last parameter is unitary.
     """
 
     gammas: list[np.ndarray]
     doms: list[np.ndarray]
     codoms: list[np.ndarray]
     terminated: bool
+    defects: list[DefectPair]
+    tol: Tolerance
 
     def __len__(self) -> int:
         return len(self.gammas)
 
-    def dims(self) -> list[tuple[int, int]]:
-        return [tuple(g.shape) for g in self.gammas]
-
-    def validate(self, tol: Tolerance = DEFAULT_TOL):
+    def validate(self):
+        """Check shapes against the recorded bases and pairs, and norms;
+        nothing is decomposed."""
+        tol = self.tol
         if not self.gammas:
             raise InvalidSequence("empty choice sequence")
-        if len(self.doms) != len(self.gammas) or len(self.codoms) != len(self.gammas):
+        m = len(self.gammas)
+        if len(self.doms) != m or len(self.codoms) != m or len(self.defects) != m - 1:
             raise InvalidSequence("basis lists must parallel the parameter list")
+        recorded = [(dds.space.dim, dd.space.dim) for dd, dds in self.defects]
         for n, g in enumerate(self.gammas):
-            if g.shape != (self.codoms[n].shape[1], self.doms[n].shape[1]):
-                raise InvalidSequence(
-                    f"parameter {n} has shape {g.shape}, bases give "
-                    f"{(self.codoms[n].shape[1], self.doms[n].shape[1])}"
-                )
+            bases = (self.codoms[n].shape[1], self.doms[n].shape[1])
+            if g.shape != bases or (n > 0 and g.shape != recorded[n - 1]):
+                raise InvalidSequence(f"parameter {n} of shape {g.shape} disagrees with its "
+                                      f"bases {bases} or the recorded defect pair")
             if not la.is_contraction(g, tol):
                 raise InvalidSequence(f"parameter {n} has norm > 1")
-            if n > 0:
-                e = la.defect_of(self.gammas[n - 1], tol).space
-                f = la.defect_of(self.gammas[n - 1], tol, adjoint=True).space
-                if g.shape != (f.dim, e.dim):
-                    raise InvalidSequence(
-                        f"parameter {n} has shape {g.shape}, defect spaces of the "
-                        f"previous parameter have dims {(f.dim, e.dim)}"
-                    )
         if self.terminated and not is_unitary_parameter(self.gammas[-1], tol):
             raise InvalidSequence("terminated sequence must end in a unitary parameter")
+
+
+def _absolute_bases(in_dim: int, out_dim: int, defects: list[DefectPair]):
+    """(doms, codoms): the input and output spaces, then the defect spaces
+    of each pair in turn, as absolute orthonormal bases."""
+    doms, codoms = [la.eye(in_dim)], [la.eye(out_dim)]
+    for dd, dds in defects:
+        doms.append(doms[-1] @ dd.space.basis)
+        codoms.append(codoms[-1] @ dds.space.basis)
+    return doms, codoms
+
+
+def _recorded(gammas: list[np.ndarray], defects: list[DefectPair], terminated: bool,
+              tol: Tolerance) -> ChoiceSequence:
+    """The sequence of ``gammas`` whose first parameters have the pairs ``defects``."""
+    doms, codoms = _absolute_bases(gammas[0].shape[1], gammas[0].shape[0], defects)
+    return ChoiceSequence(gammas, doms, codoms, terminated, defects, tol)
 
 
 def choice_sequence(gammas, terminated: bool, tol: Tolerance = DEFAULT_TOL) -> ChoiceSequence:
@@ -250,38 +274,33 @@ def choice_sequence(gammas, terminated: bool, tol: Tolerance = DEFAULT_TOL) -> C
 
     Each ``gammas[n]`` (n >= 1) must already be expressed in the defect
     bases that :func:`~schurkit.linalg.defect_of` assigns to ``gammas[n-1]``
-    and its adjoint; the absolute bases are accumulated here.
+    and its adjoint; every parameter but the last is decomposed here, once.
     """
     gammas = [la.cmatrix(g) for g in gammas]
     if not gammas:
         raise InvalidSequence("empty choice sequence")
-    doms = [la.eye(gammas[0].shape[1])]
-    codoms = [la.eye(gammas[0].shape[0])]
-    for n in range(1, len(gammas)):
-        doms.append(doms[-1] @ la.defect_of(gammas[n - 1], tol).space.basis)
-        codoms.append(codoms[-1] @ la.defect_of(gammas[n - 1], tol, adjoint=True).space.basis)
-    seq = ChoiceSequence(gammas, doms, codoms, terminated)
-    seq.validate(tol)
+    seq = _recorded(gammas, [_defect_pair(g, tol) for g in gammas[:-1]], terminated, tol)
+    seq.validate()
     return seq
 
 
-def reconstruct(seq: ChoiceSequence, tol: Tolerance = DEFAULT_TOL) -> SampledFunction:
+def reconstruct(seq: ChoiceSequence) -> SampledFunction:
     """Fold a choice sequence back into a Schur-class function.
 
     Exact (on the grid) for terminated sequences; otherwise the tail is
-    truncated with a vanishing next iterate.
+    truncated with a vanishing next iterate.  Composes with the recorded
+    defect pairs; only the last parameter of an unterminated sequence is
+    decomposed, at ``seq.tol``.
     """
-    seq.validate(tol)
+    seq.validate()
+    defects, last = list(seq.defects), seq.gammas[-1]
     if seq.terminated:
-        current = const_function(seq.gammas[-1])
-        start = len(seq.gammas) - 2
+        current = const_function(last)
     else:
-        e = la.defect_of(seq.gammas[-1], tol).space
-        f = la.defect_of(seq.gammas[-1], tol, adjoint=True).space
-        current = const_function(la.zeros(f.dim, e.dim))
-        start = len(seq.gammas) - 1
-    for n in range(start, -1, -1):
-        current = moebius_compose(seq.gammas[n], current, tol)
+        defects.append(_defect_pair(last, seq.tol))
+        current = const_function(la.zeros(defects[-1][1].space.dim, defects[-1][0].space.dim))
+    for gamma, (dd, dds) in reversed(list(zip(seq.gammas, defects))):
+        current = _compose(gamma, current, dd, dds)
     return current
 
 
@@ -311,8 +330,7 @@ def schur_oracle(theta: SampledFunction, n_max: int,
     in ``breakdown``.  The iterate after parameter ``n_max`` is not formed.
     """
     gammas: list[np.ndarray] = []
-    doms = [la.eye(theta.in_dim)]
-    codoms = [la.eye(theta.out_dim)]
+    defects: list[DefectPair] = []  # one per formed iterate
     iterates = [theta]
     terminated = False
     breakdown = None
@@ -332,11 +350,12 @@ def schur_oracle(theta: SampledFunction, n_max: int,
         gammas.append(gamma)
         if terminated or n == n_max:
             break
-        doms.append(doms[-1] @ nxt.eval_fn.dom.basis)
-        codoms.append(codoms[-1] @ nxt.eval_fn.cod.basis)
+        defects.append(nxt.eval_fn.defects)
         iterates.append(nxt)
         current = nxt
-    params = ChoiceSequence(gammas, doms[: len(gammas)], codoms[: len(gammas)], terminated)
+    doms, codoms = _absolute_bases(theta.in_dim, theta.out_dim, defects)
+    m = len(gammas)  # defects has m entries after a breakdown, m - 1 otherwise
+    params = ChoiceSequence(gammas, doms[:m], codoms[:m], terminated, defects[: m - 1], tol)
     return OracleChain(params, iterates, doms, codoms, breakdown)
 
 
@@ -363,7 +382,7 @@ class _RealizationChain:
         N_n = D^{-1}(Gamma*_{n-1}) ... D^{-1}(Gamma*_0) on the output side,
 
     expressed in the accumulated defect bases (M_0 and N_0 are identities),
-    together with the absolute bases themselves.  Gamma_n is then
+    together with the defect pair of each parameter.  Gamma_n is then
 
         N_n C A^{n-1} W (M_n B* W)*   with W a basis of H(n-1, 0).
 
@@ -377,22 +396,19 @@ class _RealizationChain:
         self.state = _simple_conservative_state(sys)
         self.sys = sys
         self.gammas: list[np.ndarray] = [sys.d.copy()]
-        self.doms: list[np.ndarray] = [la.eye(sys.in_dim)]
-        self.codoms: list[np.ndarray] = [la.eye(sys.out_dim)]
+        self.defects: list[DefectPair] = []
         self.m_chains: list[np.ndarray] = [la.eye(sys.in_dim)]
         self.n_chains: list[np.ndarray] = [la.eye(sys.out_dim)]
         self.terminated = self.state.dim == 0
         if not self.terminated:
-            self._push_defect_step(la.defect_of(sys.d, sys.tol),
-                                   la.defect_of(sys.d, sys.tol, adjoint=True))
+            self._push_defect_step(*_defect_pair(sys.d, sys.tol))
 
     def _push_defect_step(self, dd: la.DefectData, dds: la.DefectData):
-        """Extend the chains and bases by the defect data of the last
-        parameter, D(Gamma_n) in ``dd`` and D(Gamma*_n) in ``dds``."""
+        """Record the defect pair of the last parameter, D(Gamma_n) in
+        ``dd`` and D(Gamma*_n) in ``dds``, and extend the chains by it."""
+        self.defects.append((dd, dds))
         self.m_chains.append(adj(dd.space.basis) @ dd.op_pinv @ self.m_chains[-1])
         self.n_chains.append(adj(dds.space.basis) @ dds.op_pinv @ self.n_chains[-1])
-        self.doms.append(self.doms[-1] @ dd.space.basis)
-        self.codoms.append(self.codoms[-1] @ dds.space.basis)
 
     def last_n(self) -> int:
         return len(self.gammas) - 1
@@ -408,11 +424,8 @@ class _RealizationChain:
             self.gammas.append(gamma)
             if self.state.h_subspace(n, 0).dim == 0:
                 self.terminated = True
-                self.doms = self.doms[: n + 1]
-                self.codoms = self.codoms[: n + 1]
                 return
-            dd = la.defect_of(gamma, self.sys.tol)
-            dds = la.defect_of(gamma, self.sys.tol, adjoint=True)
+            dd, dds = _defect_pair(gamma, self.sys.tol)
             self._check_range_inclusions(n, dd, dds)
             self._push_defect_step(dd, dds)
 
@@ -432,12 +445,8 @@ class _RealizationChain:
             )
 
     def choice(self) -> ChoiceSequence:
-        return ChoiceSequence(
-            self.gammas,
-            self.doms[: len(self.gammas)],
-            self.codoms[: len(self.gammas)],
-            self.terminated,
-        )
+        defects = self.defects[: len(self.gammas) - 1]
+        return _recorded(self.gammas, defects, self.terminated, self.sys.tol)
 
     def family(self, n: int) -> list[DiscreteSystem]:
         """All realizations of the n-th iterate, state spaces H(n-k, k)."""
@@ -484,8 +493,7 @@ def first_iterate_systems(sys: DiscreteSystem):
     if state.dim == 0:
         raise UnitaryTheta0("Theta(0) is unitary; there is no first iterate")
     gamma0 = sys.d
-    d0 = la.defect_of(gamma0, tol)
-    d0s = la.defect_of(gamma0, tol, adjoint=True)
+    d0, d0s = _defect_pair(gamma0, tol)
     e0, f0 = d0.space, d0s.space
     w10 = state.h_subspace(1, 0).basis
     w01 = state.h_subspace(0, 1).basis
@@ -539,8 +547,6 @@ class SchurChain:
     params: ChoiceSequence
     h_chain: list[Subspace]
     families: list[list[DiscreteSystem]]  # families[j] realizes iterate j+1
-    # lattice[j][k]: the stored basis of H(j+1-k, k), state space of families[j][k]
-    lattice: list[list[np.ndarray]]
 
     @property
     def termination_step(self) -> int | None:
@@ -560,21 +566,21 @@ def build_chain(sys: DiscreteSystem, n_max: int | None = None) -> SchurChain:
     chain.extend(cap)
     last = chain.last_n()
     h_chain = [chain.state.h_subspace(n, 0) for n in range(last + 1)]
-    families, lattice = [], []
+    families = []
     for n in range(1, last + 1):
         if chain.state.h_subspace(n, 0).dim == 0:
             break
         families.append(chain.family(n))
-        lattice.append([chain.state.h_subspace(n - k, k).basis for k in range(n + 1)])
-    return SchurChain(sys, chain.state, chain.choice(), h_chain, families, lattice)
+    return SchurChain(sys, chain.state, chain.choice(), h_chain, families)
 
 
 def _lattice_intertwiner(chain: SchurChain, j: int, k: int) -> np.ndarray:
     """U_k = W_{k+1}* A W_k: the compression of the source state A from
     H(j+1-k, k) to H(j-k, k+1), which maps the state space of
-    ``chain.families[j][k]`` onto that of member k+1 and intertwines them."""
-    bases = chain.lattice[j]
-    return adj(bases[k + 1]) @ chain.source.a @ bases[k]
+    ``chain.families[j][k]`` onto that of member k+1 and intertwines them.
+    The W are the bases the chain's state stored when it built the family."""
+    h = chain.state.h_subspace
+    return adj(h(j - k, k + 1).basis) @ chain.source.a @ h(j + 1 - k, k).basis
 
 
 # Residual thresholds used by verify_chain, keyed by residual kind.
@@ -643,7 +649,10 @@ def verify_chain(chain: SchurChain, grid=None) -> ChainReport:
     dimension (one in every correct chain), so that each kind of work is
     one stacked numpy call; the similarities stay per pair.  A member whose
     state dimension differs from its neighbours' is reported, not raised:
-    the similarities that pair it are inf.
+    the similarities that pair it are inf.  So is a member whose input or
+    output dimension differs from the iterate's: its transfer_oracle,
+    pure_char and similarities are inf, as is every transfer_across_k that
+    pairs it.
     """
     tol = chain.source.tol
     pts = np.asarray(disk_grid() if grid is None else grid, dtype=complex)
@@ -653,7 +662,7 @@ def verify_chain(chain: SchurChain, grid=None) -> ChainReport:
 
     seq = chain.params
     try:
-        seq.validate(tol)
+        seq.validate()
         shape_bad = 0.0
     except InvalidSequence:
         shape_bad = 1.0
@@ -698,18 +707,22 @@ def verify_chain(chain: SchurChain, grid=None) -> ChainReport:
             split = pure_part(psi @ theta_o(0) @ adj(omega), tol)
         except SchurkitError:
             split = None
+        fits = np.array([(s.out_dim, s.in_dim) == aligned.shape[1:] for s in family])
         unitarity = np.empty(len(family))
-        transfers = np.empty((len(family),) + aligned.shape, dtype=complex)
+        transfers = np.zeros((len(family),) + aligned.shape, dtype=complex)
         for members, blocks in _state_groups(family):
             unitarity[members] = la.unitarity_residual(_colligations(*blocks))
-            transfers[members] = transfer_stack(*blocks, pts)
+            if fits[members[0]]:
+                transfers[members] = transfer_stack(*blocks, pts)
         to_oracle = grid_distance(transfers, np.broadcast_to(aligned, transfers.shape), pts)
+        to_oracle[~fits] = np.inf
         pure = _pure_char_residual(family, split, aligned, pts, tol)
         for k in range(len(family)):
             report.add("unitarity", f"{n},{k}", unitarity[k])
             report.add("transfer_oracle", f"{n},{k}", to_oracle[k])
             report.add("pure_char", f"{n},{k}", pure[k])
         across_k = grid_distance(transfers[:-1], transfers[1:], pts)
+        across_k[~(fits[:-1] & fits[1:])] = np.inf
         for k in range(len(family) - 1):
             report.add("transfer_across_k", f"{n},{k}", across_k[k])
             u = _lattice_intertwiner(chain, idx, k)
@@ -731,10 +744,10 @@ def _index_groups(keys) -> list[np.ndarray]:
 
 
 def _state_groups(family: list[DiscreteSystem]):
-    """The members of ``family`` grouped by state dimension: per group the
-    member positions and the (d, c, b, a) blocks stacked along a leading
-    member axis."""
-    for members in _index_groups(s.state_dim for s in family):
+    """The members of ``family`` grouped by state, input and output
+    dimension: per group the member positions and the (d, c, b, a) blocks
+    stacked along a leading member axis."""
+    for members in _index_groups((s.state_dim, s.in_dim, s.out_dim) for s in family):
         yield members, tuple(np.array([getattr(family[i].block, blk) for i in members])
                              for blk in "dcba")
 
@@ -755,11 +768,12 @@ def _pure_char_residual(family: list[DiscreteSystem], split: PureSplit | None,
     at 0, None when that split failed.  K = C D_A^+ U_A and
     M = U_A*^* D_A*^+ B come from the defect data of A* that the
     characteristic function holds: the defect of A is the adjoint defect of
-    A*, and the reverse.  Members are stacked by state dimension, and then
-    by the ranks of D_A and D_A* so that their defect bases stack.  A
+    A*, and the reverse.  Members are stacked by state and io dimension,
+    and then by the ranks of D_A and D_A* so that their defect bases stack.  A
     member's residual is inf, and no other member's, when ``split`` is
-    None, when its colligation or its state is no contraction, or when a
-    defect eigenvalue lies below -eq_abs.
+    None, when its input or output dimension differs from the iterate's,
+    when its colligation or its state is no contraction, or when a defect
+    eigenvalue lies below -eq_abs.
     """
     resid = np.full(len(family), np.inf)
     if split is None:
@@ -768,6 +782,8 @@ def _pure_char_residual(family: list[DiscreteSystem], split: PureSplit | None,
     target = adj(fp) @ theta @ ep
     bound = 1.0 + tol.eq_abs
     for members, (d, c, b, a) in _state_groups(family):
+        if d.shape[1:] != theta.shape[1:]:
+            continue  # io dimensions differ from the iterate's
         contractive = ((la.opnorm(_colligations(d, c, b, a)) <= bound)
                        & (la.opnorm(adj(a)) <= bound))
         members, c, b, a = (x[contractive] for x in (members, c, b, a))

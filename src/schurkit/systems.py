@@ -15,7 +15,7 @@ system, and searches for state-space unitary similarities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -119,16 +119,7 @@ class SystemClassification:
     minimal: bool
 
     def as_dict(self) -> dict:
-        return {
-            "passive": self.passive,
-            "isometric": self.isometric,
-            "coisometric": self.coisometric,
-            "conservative": self.conservative,
-            "controllable": self.controllable,
-            "observable": self.observable,
-            "simple": self.simple,
-            "minimal": self.minimal,
-        }
+        return asdict(self)
 
 
 class DiscreteSystem:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import schurkit.linalg as la
-from schurkit import Contraction, defect
+from schurkit import Contraction
 from schurkit.errors import NotCNU, NotContraction
 from schurkit.linalg import adj
 from conftest import random_cnu, random_contraction_matrix
@@ -18,14 +18,12 @@ def test_rejects_expansive():
 class TestDefect:
     def test_scalar(self):
         a = Contraction([[0.6]])
-        d_a, d_astar, space, space_star = defect(a)
-        assert np.allclose(d_a, [[0.8]])
-        assert space.dim == 1 and space_star.dim == 1
+        assert np.allclose(a.d_a, [[0.8]])
+        assert a.defect_a.dim == 1 and a.defect_astar.dim == 1
 
     def test_unitary(self, rng):
         a = Contraction(la.haar_unitary(3, rng))
-        _, _, space, space_star = defect(a)
-        assert space.dim == 0 and space_star.dim == 0
+        assert a.defect_a.dim == 0 and a.defect_astar.dim == 0
         assert la.opnorm(a.d_a) == 0.0
 
     def test_nilpotent(self):

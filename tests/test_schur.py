@@ -26,7 +26,13 @@ from schurkit import (
 )
 from schurkit import schur as schur_mod
 from schurkit.blockparam import decompose_kmx
-from schurkit.errors import SchurkitError, Terminated, UnitaryParameter, UnitaryTheta0
+from schurkit.errors import (
+    InvalidSequence,
+    SchurkitError,
+    Terminated,
+    UnitaryParameter,
+    UnitaryTheta0,
+)
 from schurkit.linalg import adj
 from schurkit.schur import (
     CHAIN_THRESHOLDS,
@@ -187,6 +193,28 @@ class TestReconstruct:
         back = reconstruct(chain.params)
         small = [0.05 * np.exp(2j * np.pi * k / 8) for k in range(8)]
         assert grid_distance(back, sys.sampled(), small) <= 1e-9
+
+
+def _valid_scalar_sequence():
+    return choice_sequence([[[0.5]], [[0.3]], [[0.2]]], terminated=False)
+
+
+INVALID_SEQUENCES = {
+    "empty": lambda: choice_sequence([], terminated=False),
+    "short_doms": lambda: dataclasses.replace(
+        _valid_scalar_sequence(), doms=_valid_scalar_sequence().doms[:-1]).validate(),
+    "long_codoms": lambda: dataclasses.replace(
+        _valid_scalar_sequence(), codoms=_valid_scalar_sequence().codoms * 2).validate(),
+    "shape_against_bases": lambda: choice_sequence([[[0.5]], [[0.1, 0.2]]], terminated=False),
+    "norm_above_one": lambda: choice_sequence([[[0.5]], [[1.5]]], terminated=False),
+    "terminated_not_unitary": lambda: choice_sequence([[[0.5]], [[0.3]]], terminated=True),
+}
+
+
+@pytest.mark.parametrize("build", INVALID_SEQUENCES.values(), ids=INVALID_SEQUENCES.keys())
+def test_invalid_sequence_is_rejected(build):
+    with pytest.raises(InvalidSequence):
+        build()
 
 
 class TestGammaFromRealization:
@@ -442,6 +470,72 @@ class TestVerifyChain:
         monkeypatch.setattr(la, "defect_of", counting_defect_of)
         assert verify_chain(build_chain(sys)).ok
         assert len(calls) < 300
+
+    def test_each_parameter_is_decomposed_once(self, monkeypatch):
+        # the choice sequence carries the defect pairs its route computed:
+        # validate and the composition of a terminated sequence decompose
+        # nothing, choice_sequence decomposes each non-terminal parameter
+        # once (20, 40, 40 and 58 calls when each call site decomposed
+        # again)
+        chain = build_chain(random_conservative_system(10, 1, np.random.default_rng(1)))
+        seq = chain.params
+        assert seq.terminated and len(seq) == 11
+        defect_of = la.defect_of
+        calls = []
+
+        def counting_defect_of(*args, **kwargs):
+            calls.append(1)
+            return defect_of(*args, **kwargs)
+
+        monkeypatch.setattr(la, "defect_of", counting_defect_of)
+
+        def count(run) -> int:
+            calls.clear()
+            run()
+            return len(calls)
+
+        assert count(seq.validate) == 0
+        assert count(lambda: reconstruct(seq)) == 0
+        assert count(lambda: choice_sequence(seq.gammas, terminated=True)) == 20
+        assert count(lambda: verify_chain(chain)) == 38
+
+    @pytest.mark.parametrize("scale", [0.5, 2.0])
+    def test_inconsistent_sequence_reports_shape(self, scale):
+        # a terminal parameter moved off the unitary group (0.5) or past
+        # norm 1 (2.0) fails validation: shape is 1, and the only other
+        # residual that moves is that parameter's gamma
+        chain = build_chain(random_conservative_system(6, 1, np.random.default_rng(1)))
+        seq = chain.params
+        assert seq.terminated
+        bad = dataclasses.replace(seq, gammas=seq.gammas[:-1] + [scale * seq.gammas[-1]])
+        report = verify_chain(dataclasses.replace(chain, params=bad)).residuals
+        base = verify_chain(chain).residuals
+        assert base["shape"] == 0.0 and report["shape"] == 1.0
+        moved = {"shape", f"gamma[{len(seq) - 1}]"}
+        assert {k: v for k, v in report.items() if k not in moved} == {
+            k: v for k, v in base.items() if k not in moved}
+
+    def test_member_with_other_io_dims_is_reported(self):
+        # member 0 of family 1 replaced by a system on the same state space
+        # with io dims 3 instead of 2: its transfer_oracle, pure_char and
+        # similarity are inf, as is the transfer_across_k that pairs it;
+        # its unitarity is its own, and no other residual changes
+        chain = build_chain(random_conservative_system(4, 2, np.random.default_rng(0)))
+        odd = random_conservative_system(2, 3, np.random.default_rng(5))
+        family = [list(f) for f in chain.families]
+        assert family[0][0].state_dim == odd.state_dim and family[0][0].in_dim == 2
+        family[0][0] = odd
+        report = verify_chain(dataclasses.replace(chain, families=family)).residuals
+        base = verify_chain(chain).residuals
+        failed = {"transfer_oracle[1,0]", "pure_char[1,0]", "similarity[1,0]",
+                  "transfer_across_k[1,0]"}
+        assert {k: v for k, v in report.items() if k in failed} == dict.fromkeys(
+            failed, float("inf"))
+        assert report["unitarity[1,0]"] == la.unitarity_residual(odd.colligation())
+        own = failed | {"unitarity[1,0]"}
+        assert list(report) == list(base)
+        assert {k: v for k, v in report.items() if k not in own} == {
+            k: v for k, v in base.items() if k not in own}
 
     @pytest.mark.parametrize("state_dim, io_dim", [(6, 2), (8, 1)])
     def test_pure_char_matches_kmx_reference(self, monkeypatch, state_dim, io_dim):
