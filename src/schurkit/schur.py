@@ -41,13 +41,15 @@ from .systems import (
     DiscreteSystem,
     PureSplit,
     SampledFunction,
-    char_stack,
+    char_of_resolvent,
     const_function,
     discrete_system,
     disk_grid,
     grid_distance,
     intertwining_residual,
     pure_part,
+    resolvent_stack,
+    transfer_of_resolvent,
     transfer_stack,
     unitarily_similar,  # noqa: F401  re-exported: the independent similarity search
 )
@@ -647,7 +649,9 @@ def verify_chain(chain: SchurChain, grid=None) -> ChainReport:
 
     Each family is checked as stacks of its members, one stack per state
     dimension (one in every correct chain), so that each kind of work is
-    one stacked numpy call; the similarities stay per pair.  A member whose
+    one stacked numpy call; the similarities stay per pair.  The transfer
+    function of a member and the characteristic function of its state
+    share one solve of I - lambda A per point.  A member whose
     state dimension differs from its neighbours' is reported, not raised:
     the similarities that pair it are inf.  So is a member whose input or
     output dimension differs from the iterate's: its transfer_oracle,
@@ -681,8 +685,10 @@ def verify_chain(chain: SchurChain, grid=None) -> ChainReport:
     oracle = schur_oracle(chain.source.sampled(), len(seq) - 1, tol)
     if oracle.breakdown is not None:
         report.add("oracle_breakdown", str(oracle.breakdown), float("inf"))
-    n_common = min(len(seq), len(oracle.params))
-    for n in range(n_common):
+    # an invalid sequence may have fewer bases than parameters; shape
+    # reports it, and only the steps with bases are compared
+    n_bases = min(len(seq.doms), len(seq.codoms))
+    for n in range(min(len(seq), n_bases, len(oracle.params))):
         omega = adj(seq.doms[n]) @ oracle.doms[n]
         psi = adj(seq.codoms[n]) @ oracle.codoms[n]
         align = max(
@@ -697,7 +703,7 @@ def verify_chain(chain: SchurChain, grid=None) -> ChainReport:
 
     for idx, family in enumerate(chain.families):
         n = idx + 1
-        if n >= len(oracle.iterates):
+        if n >= min(len(oracle.iterates), n_bases):
             break
         omega = adj(seq.doms[n]) @ oracle.doms[n]
         psi = adj(seq.codoms[n]) @ oracle.codoms[n]
@@ -709,14 +715,16 @@ def verify_chain(chain: SchurChain, grid=None) -> ChainReport:
             split = None
         fits = np.array([(s.out_dim, s.in_dim) == aligned.shape[1:] for s in family])
         unitarity = np.empty(len(family))
+        pure = np.full(len(family), np.inf)
         transfers = np.zeros((len(family),) + aligned.shape, dtype=complex)
         for members, blocks in _state_groups(family):
-            unitarity[members] = la.unitarity_residual(_colligations(*blocks))
+            colligations = _colligations(*blocks)
+            unitarity[members] = la.unitarity_residual(colligations)
             if fits[members[0]]:
-                transfers[members] = transfer_stack(*blocks, pts)
+                transfers[members], pure[members] = _pure_char_residual(
+                    blocks, colligations, split, aligned, pts, tol)
         to_oracle = grid_distance(transfers, np.broadcast_to(aligned, transfers.shape), pts)
         to_oracle[~fits] = np.inf
-        pure = _pure_char_residual(family, split, aligned, pts, tol)
         for k in range(len(family)):
             report.add("unitarity", f"{n},{k}", unitarity[k])
             report.add("transfer_oracle", f"{n},{k}", to_oracle[k])
@@ -757,49 +765,58 @@ def _colligations(d, c, b, a) -> np.ndarray:
     return np.concatenate([np.concatenate([d, c], -1), np.concatenate([b, a], -1)], -2)
 
 
-def _pure_char_residual(family: list[DiscreteSystem], split: PureSplit | None,
-                        theta: np.ndarray, pts: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Pure part of the oracle iterate against the characteristic function
-    of the adjoint of the state of each member of ``family``, conjugated by
-    the isometries that the anchored parametrization of the member's
-    colligation provides; one residual per member.
+def _pure_char_residual(blocks, colligations: np.ndarray, split: PureSplit | None,
+                        theta: np.ndarray, pts: np.ndarray, tol: Tolerance):
+    """Transfer functions and pure_char residuals of a stack of family
+    members whose io dimensions are the iterate's, from one solve of
+    I - lambda A per member: returns (transfers, residuals).
 
-    ``theta`` is the iterate's stack on ``pts`` and ``split`` its pure split
-    at 0, None when that split failed.  K = C D_A^+ U_A and
-    M = U_A*^* D_A*^+ B come from the defect data of A* that the
-    characteristic function holds: the defect of A is the adjoint defect of
-    A*, and the reverse.  Members are stacked by state and io dimension,
-    and then by the ranks of D_A and D_A* so that their defect bases stack.  A
-    member's residual is inf, and no other member's, when ``split`` is
-    None, when its input or output dimension differs from the iterate's,
-    when its colligation or its state is no contraction, or when a defect
-    eigenvalue lies below -eq_abs.
+    ``blocks`` are the members' stacked (d, c, b, a) and ``colligations``
+    their [D C; B A]; ``theta`` is the iterate's stack on ``pts`` and
+    ``split`` its pure split at 0, None when that split failed.  The
+    residual compares the pure part of the iterate with the characteristic
+    function of A*, V* (-A* U + lambda D_A (I - lambda A)^{-1} D_A* U) with
+    U and V bases of the defect spaces of A* and A, conjugated by the
+    isometries K = C D_A^+ V and M = U* D_A*^+ B that the anchored
+    parametrization of the colligation provides.  The defect of A is the
+    adjoint defect of A*, and the reverse.  Members are stacked by the ranks
+    of D_A and D_A* so that their defect bases stack, and each rank group
+    makes one solve against [B | D_A* U]: its first io columns give the
+    transfer functions.  A member's residual is inf, and no other
+    member's, when ``split`` is None, when its colligation is no
+    contraction, or when a defect eigenvalue lies below -eq_abs; its
+    transfer function then comes from a solve against B alone.  The state
+    norm needs no check of its own: it is at most the colligation norm.
     """
-    resid = np.full(len(family), np.inf)
-    if split is None:
-        return resid
-    ep, fp = split.dom_pure.basis, split.cod_pure.basis
-    target = adj(fp) @ theta @ ep
-    bound = 1.0 + tol.eq_abs
-    for members, (d, c, b, a) in _state_groups(family):
-        if d.shape[1:] != theta.shape[1:]:
-            continue  # io dimensions differ from the iterate's
-        contractive = ((la.opnorm(_colligations(d, c, b, a)) <= bound)
-                       & (la.opnorm(adj(a)) <= bound))
-        members, c, b, a = (x[contractive] for x in (members, c, b, a))
-        a_star = adj(a)
+    d, c, b, a = blocks
+    transfers = np.empty((len(d),) + theta.shape, dtype=complex)
+    resid = np.full(len(d), np.inf)
+    unsolved = np.ones(len(d), dtype=bool)
+    if split is not None:
+        ep, fp = split.dom_pure.basis, split.cod_pure.basis
+        target = adj(fp) @ theta @ ep
+        contractive = np.flatnonzero(la.opnorm(colligations) <= 1.0 + tol.eq_abs)
+        a_star = adj(a[contractive])
         # D_A* and D_A: the defect and the adjoint defect of A*
         op_as, pinv_as, vecs_as, keep_as, low_as = la.defect_stack(a_star, tol)
         op_a, pinv_a, vecs_a, keep_a, low_a = la.defect_stack(a_star, tol, adjoint=True)
         definite = np.flatnonzero(np.minimum(low_a, low_as) >= -tol.eq_abs)
         ranks = zip(keep_a[definite].sum(-1), keep_as[definite].sum(-1))
         for sel in (definite[g] for g in _index_groups(ranks)):
+            members = contractive[sel]
             basis_a = la.defect_basis(vecs_a[sel], keep_a[sel[0]])
             basis_as = la.defect_basis(vecs_as[sel], keep_as[sel[0]])
-            k = c[sel] @ pinv_a[sel] @ basis_a
-            m = adj(basis_as) @ pinv_as[sel] @ b[sel]
-            phi = char_stack(a_star[sel], op_as[sel], op_a[sel], basis_as, basis_a, pts)
+            rhs = np.concatenate([b[members], op_as[sel] @ basis_as], -1)
+            x_b, x_char = (np.ascontiguousarray(x) for x in np.split(
+                resolvent_stack(a[members], rhs, pts), [b.shape[-1]], -1))
+            transfers[members] = transfer_of_resolvent(d[members], c[members], x_b, pts)
+            phi = char_of_resolvent(a_star[sel], op_a[sel], basis_as, basis_a, x_char, pts)
+            k = c[members] @ pinv_a[sel] @ basis_a
+            m = adj(basis_as) @ pinv_as[sel] @ b[members]
             model = adj(fp) @ (k[:, None] @ phi @ m[:, None]) @ ep
-            resid[members[sel]] = la.stack_matnorm_diff(np.broadcast_to(target, model.shape),
-                                                         model)
-    return resid
+            resid[members] = la.stack_matnorm_diff(np.broadcast_to(target, model.shape),
+                                                   model)
+            unsolved[members] = False
+    if unsolved.any():
+        transfers[unsolved] = transfer_stack(*(x[unsolved] for x in blocks), pts)
+    return transfers, resid

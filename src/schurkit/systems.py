@@ -93,6 +93,17 @@ def grid_distance(f: SampledFunction | np.ndarray, g: SampledFunction | np.ndarr
     return la.stack_matnorm_diff(a, b)
 
 
+def resolvent_stack(a: np.ndarray, rhs: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """(I - lambda A)^{-1} R on a 1-D array of P points, by one stacked solve.
+
+    ``a`` and ``rhs`` are matrices, giving a (P, s, k) stack, or (K, ...)
+    stacks, giving (K, P, s, k).
+    """
+    lam = pts[:, None, None]
+    a, rhs = a[..., None, :, :], rhs[..., None, :, :]
+    return la.solve_stack(la.eye(a.shape[-1]) - lam * a, rhs)
+
+
 def transfer_stack(d: np.ndarray, c: np.ndarray, b: np.ndarray, a: np.ndarray,
                    pts: np.ndarray) -> np.ndarray:
     """Theta(lambda) = D + lambda C (I - lambda A)^{-1} B on a 1-D array of
@@ -101,10 +112,19 @@ def transfer_stack(d: np.ndarray, c: np.ndarray, b: np.ndarray, a: np.ndarray,
     The blocks are matrices, giving a (P, out, in) stack, or (K, ...)
     stacks of the blocks of K systems, giving (K, P, out, in).
     """
+    return transfer_of_resolvent(d, c, resolvent_stack(a, b, pts), pts)
+
+
+def transfer_of_resolvent(d: np.ndarray, c: np.ndarray, x: np.ndarray,
+                          pts: np.ndarray) -> np.ndarray:
+    """D + lambda C X on P points, from the stack X of (I - lambda A)^{-1} B
+    that :func:`resolvent_stack` returns.
+
+    ``x`` must be contiguous: a strided ``x`` takes another BLAS path in
+    ``C @ X``, and with it other last bits.
+    """
     lam = pts[:, None, None]
-    d, c, b, a = (m[..., None, :, :] for m in (d, c, b, a))
-    resolvent = la.solve_stack(la.eye(a.shape[-1]) - lam * a, b)
-    return d + lam * (c @ resolvent)
+    return d[..., None, :, :] + lam * (c[..., None, :, :] @ x)
 
 
 @dataclass(frozen=True)
@@ -294,17 +314,26 @@ def char_function(a: Contraction) -> SampledFunction:
 
 def char_stack(a: np.ndarray, d_a: np.ndarray, d_astar: np.ndarray, u: np.ndarray,
                v: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """V* (-A + lambda D_A* (I - lambda A*)^{-1} D_A) U, the characteristic
+    """V* (-A U + lambda D_A* (I - lambda A*)^{-1} D_A U), the characteristic
     function of A, on a 1-D array of P points; ``u`` and ``v`` are bases of
     the defect spaces of A and A*.
 
-    The arguments are matrices, giving a (P, dim D_A*, dim D_A) stack, or
-    (K, ...) stacks for K contractions, giving (K, P, ...).
+    ``U`` is applied before the solve, so the solve carries dim D_A
+    columns, not the state dimension.  The arguments are matrices, giving
+    a (P, dim D_A*, dim D_A) stack, or (K, ...) stacks for K contractions,
+    giving (K, P, ...).
     """
+    return char_of_resolvent(a, d_astar, u, v, resolvent_stack(adj(a), d_a @ u, pts), pts)
+
+
+def char_of_resolvent(a: np.ndarray, d_astar: np.ndarray, u: np.ndarray, v: np.ndarray,
+                      x: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """V* (-A U + lambda D_A* X) on P points, from the stack X of
+    (I - lambda A*)^{-1} D_A U that :func:`resolvent_stack` returns; the
+    arguments are those of :func:`char_stack`, and ``x`` is contiguous."""
     lam = pts[:, None, None]
-    a, d_a, d_astar, u, v = (m[..., None, :, :] for m in (a, d_a, d_astar, u, v))
-    core = -a + lam * (d_astar @ la.solve_stack(la.eye(a.shape[-1]) - lam * adj(a), d_a))
-    return adj(v) @ core @ u
+    a, d_astar, u, v = (m[..., None, :, :] for m in (a, d_astar, u, v))
+    return adj(v) @ (-a @ u + lam * (d_astar @ x))
 
 
 @dataclass(frozen=True)
@@ -384,7 +413,6 @@ def defect_functions(sys: DiscreteSystem, require_simple: bool = True) -> Defect
     if not cls.conservative or (require_simple and not cls.simple):
         raise NotSimpleConservative("defect functions need a simple conservative system")
     tol = sys.tol
-    d = sys.state_dim
     obs_perp = sys.observable_subspace().complement(tol)
     ctrl_perp = sys.controllable_subspace().complement(tol)
     omega = la.subspace_intersect(
@@ -394,14 +422,11 @@ def defect_functions(sys: DiscreteSystem, require_simple: bool = True) -> Defect
         ctrl_perp, la.kernel_basis(adj(adj(sys.a) @ ctrl_perp.basis), tol), tol
     )
 
-    def resolvent(pts: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        return la.solve_stack(la.eye(d) - pts[:, None, None] * sys.a, rhs)
-
     def phi_eval(pts: np.ndarray) -> np.ndarray:
-        return adj(omega.basis) @ resolvent(pts, sys.b)
+        return adj(omega.basis) @ resolvent_stack(sys.a, sys.b, pts)
 
     def psi_eval(pts: np.ndarray) -> np.ndarray:
-        return sys.c @ resolvent(pts, omega_star.basis)
+        return sys.c @ resolvent_stack(sys.a, omega_star.basis, pts)
 
     return DefectFunctions(
         SampledFunction(sys.in_dim, omega.dim, phi_eval),

@@ -515,6 +515,44 @@ class TestVerifyChain:
         assert {k: v for k, v in report.items() if k not in moved} == {
             k: v for k, v in base.items() if k not in moved}
 
+    @pytest.mark.parametrize("field, cut", [("doms", 1), ("codoms", 2)])
+    def test_sequence_with_missing_bases_reports_shape(self, field, cut):
+        # a sequence with fewer bases than parameters is reported, not
+        # raised: shape is 1, and the steps without bases are not compared
+        chain = build_chain(random_conservative_system(6, 1, np.random.default_rng(1)))
+        seq = chain.params
+        short = dataclasses.replace(seq, **{field: getattr(seq, field)[:-cut]})
+        report = verify_chain(dataclasses.replace(chain, params=short))
+        assert report.residuals["shape"] == 1.0
+        assert not report.ok
+        assert f"gamma[{len(seq) - cut - 1}]" in report.residuals
+        assert f"gamma[{len(seq) - cut}]" not in report.residuals
+
+    @pytest.mark.parametrize("state_dim, io_dim, seed, solves, svds", [
+        (6, 2, 0, 15, 54),
+        (8, 1, 1, 40, 244),
+    ])
+    def test_verify_solves_each_member_stack_once(self, monkeypatch, state_dim, io_dim,
+                                                  seed, solves, svds):
+        # each family's members are factored once per point: the transfer
+        # functions and the characteristic functions share one solve, and
+        # the state norm takes no SVD of its own.  ``solves`` and ``svds``
+        # are the counts when both were made per family
+        chain = build_chain(random_conservative_system(state_dim, io_dim,
+                                                       np.random.default_rng(seed)))
+        counts = {"solve": 0, "svd": 0}
+        for name in counts:
+            kernel = getattr(np.linalg, name)
+
+            def counting(*args, _name=name, _kernel=kernel, **kwargs):
+                counts[_name] += 1
+                return _kernel(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        assert verify_chain(chain).ok
+        families = len(chain.families)
+        assert counts == {"solve": solves - families, "svd": svds - families}
+
     def test_member_with_other_io_dims_is_reported(self):
         # member 0 of family 1 replaced by a system on the same state space
         # with io dims 3 instead of 2: its transfer_oracle, pure_char and
@@ -552,8 +590,8 @@ class TestVerifyChain:
         residual = schur_mod._pure_char_residual
         expected = []
 
-        def with_reference(members, split, theta, pts, tol):
-            for s in members:
+        def with_reference(blocks, colligations, split, theta, pts, tol):
+            for s in (discrete_system(*member) for member in zip(*blocks)):
                 try:
                     kmx = decompose_kmx(s.block, tol)
                     phi = char_function(Contraction(adj(s.a), tol))
@@ -562,7 +600,7 @@ class TestVerifyChain:
                         adj(fp) @ theta @ ep, adj(fp) @ (kmx.k @ phi.on(pts) @ kmx.m) @ ep))
                 except SchurkitError:
                     expected.append(float("inf"))
-            return residual(members, split, theta, pts, tol)
+            return residual(blocks, colligations, split, theta, pts, tol)
 
         monkeypatch.setattr(schur_mod, "_pure_char_residual", with_reference)
         report = verify_chain(dataclasses.replace(chain, families=family))

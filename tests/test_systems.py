@@ -22,7 +22,7 @@ from schurkit.errors import (
     ShapeMismatch,
 )
 from schurkit.linalg import adj
-from schurkit.systems import grid_distance, intertwining_residual
+from schurkit.systems import char_stack, grid_distance, intertwining_residual
 from conftest import permutation_colligation, random_cnu, random_contraction_matrix, random_matrix
 
 GRID = disk_grid()
@@ -154,6 +154,27 @@ class TestCharFunction:
         phi = char_function(a)
         pts = [0.35 * np.exp(2j * np.pi * k / 12) for k in range(12)]
         assert grid_distance(sigma.sampled(), phi, pts) <= 1e-10
+
+    @pytest.mark.parametrize("sigma", [(1.0, 1.0, 0.6, 0.3), (1.0, 0.8, 0.5, 0.0),
+                                       (1.0, 1.0, 1.0, 1.0)],
+                             ids=["rank-2", "rank-3", "rank-0"])
+    def test_stack_restricts_the_solve_to_the_defect(self, rng, sigma):
+        # the solve carries D_A U, dim D_A columns; the stacked function is
+        # the per-matrix one bit for bit and the characteristic colligation's
+        # transfer function to rounding, also when the defect is trivial
+        cs = [Contraction(la.haar_unitary(4, rng) @ np.diag(sigma) @ la.haar_unitary(4, rng))
+              for _ in range(3)]
+        rank = sum(x < 1.0 for x in sigma)
+        assert all(c.defect_a.dim == c.defect_astar.dim == rank for c in cs)
+        pts = np.asarray(GRID)
+        stacked = char_stack(*(np.array([getattr(c, name) for c in cs]) for name in
+                               ("a", "d_a", "d_astar")),
+                             np.array([c.defect_a.basis for c in cs]),
+                             np.array([c.defect_astar.basis for c in cs]), pts)
+        assert stacked.shape == (3, len(pts), rank, rank)
+        assert np.array_equal(stacked, np.array([char_function(c).on(pts) for c in cs]))
+        for c, phi in zip(cs, stacked):
+            assert grid_distance(char_colligation(c).sampled(), phi, GRID) <= 1e-12
 
     def test_colligation_simple_iff_cnu(self, rng):
         a = Contraction(np.diag([0.5, np.exp(1j * 0.7)]))
