@@ -16,8 +16,10 @@ contraction.
 
 Parameter matrices are always expressed in the orthonormal defect bases
 computed by :func:`~schurkit.linalg.defect_of`; ambient versions are
-obtained by conjugating with those bases.  The (F, G, L) form is computed
-as the (K, M, X) form of the block matrix with D and A exchanged.
+obtained by conjugating with those bases.  A parameter set keeps the four
+defect decompositions it was built with, and nothing decomposes them
+again.  The (F, G, L) form is computed as the (K, M, X) form of the block
+matrix with D and A exchanged.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import linalg as la
-from .errors import NotContraction, NotUnitary, ShapeMismatch, SingularPencil
-from .linalg import DEFAULT_TOL, Subspace, Tolerance, adj
+from .errors import NotContraction, NotUnitary, RankInconsistency, ShapeMismatch, SingularPencil
+from .linalg import DEFAULT_TOL, DefectData, Tolerance, adj
 
 
 @dataclass(frozen=True)
@@ -63,12 +65,16 @@ class BlockMatrix:
         return self.a.shape[0]
 
     def assemble(self) -> np.ndarray:
-        top = np.hstack([self.d, self.c])
-        bottom = np.hstack([self.b, self.a])
-        return np.vstack([top, bottom])
+        return assemble_blocks(self.d, self.c, self.b, self.a)
 
     def adjoint(self) -> "BlockMatrix":
         return BlockMatrix(adj(self.d), adj(self.b), adj(self.c), adj(self.a))
+
+
+def assemble_blocks(d: np.ndarray, c: np.ndarray, b: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """[D C; B A] from its blocks; blocks stacked along leading axes give
+    the stack of the assembled matrices."""
+    return np.concatenate([np.concatenate([d, c], -1), np.concatenate([b, a], -1)], -2)
 
 
 def block_matrix(d, c, b, a) -> BlockMatrix:
@@ -90,17 +96,17 @@ class KMXParams:
     ``k`` maps the defect space of A into the output space, ``m`` maps the
     input space into the defect space of A*, and ``x`` couples the defect
     space of M to that of K*.  All three are contractions, expressed in the
-    recorded orthonormal defect bases.
+    bases of the recorded decompositions D(A), D(A*), D(M) and D(K*).
     """
 
     a: np.ndarray
     k: np.ndarray
     m: np.ndarray
     x: np.ndarray
-    da_basis: Subspace
-    dastar_basis: Subspace
-    dm_basis: Subspace
-    dkstar_basis: Subspace
+    da: DefectData
+    dastar: DefectData
+    dm: DefectData
+    dkstar: DefectData
 
 
 @dataclass(frozen=True)
@@ -111,10 +117,10 @@ class FGLParams:
     f: np.ndarray
     g: np.ndarray
     l: np.ndarray
-    dd_basis: Subspace
-    ddstar_basis: Subspace
-    dg_basis: Subspace
-    dfstar_basis: Subspace
+    dd: DefectData
+    ddstar: DefectData
+    dg: DefectData
+    dfstar: DefectData
 
 
 def _require_contraction(m: np.ndarray, name: str, tol: Tolerance):
@@ -135,7 +141,7 @@ def _swap(t: BlockMatrix) -> BlockMatrix:
 
 
 def _mirror(p, cls):
-    """The same eight fields as a KMXParams or an FGLParams."""
+    """The same eight fields, by position, as a KMXParams or an FGLParams."""
     return cls(*(getattr(p, f.name) for f in fields(p)))
 
 
@@ -144,38 +150,35 @@ def _params(a, k, m, x, tol: Tolerance, names) -> KMXParams:
     na, nk, nm, nx, _ = names
     for mat, name in ((a, na), (k, nk), (m, nm), (x, nx)):
         _require_contraction(mat, name, tol)
-    ua = la.defect_of(a, tol).space
-    uas = la.defect_of(a, tol, adjoint=True).space
-    if k.shape[1] != ua.dim:
+    da = la.defect_of(a, tol)
+    dastar = la.defect_of(a, tol, adjoint=True)
+    if k.shape[1] != da.space.dim:
         raise ShapeMismatch(f"{nk} has {k.shape[1]} columns, defect space of {na} has dim "
-                            f"{ua.dim}")
-    if m.shape[0] != uas.dim:
+                            f"{da.space.dim}")
+    if m.shape[0] != dastar.space.dim:
         raise ShapeMismatch(f"{nm} has {m.shape[0]} rows, defect space of {na}* has dim "
-                            f"{uas.dim}")
-    em = la.defect_of(m, tol).space
-    fk = la.defect_of(k, tol, adjoint=True).space
-    if x.shape != (fk.dim, em.dim):
-        raise ShapeMismatch(f"{nx} has shape {x.shape}, expected {(fk.dim, em.dim)}")
-    return KMXParams(a, k, m, x, ua, uas, em, fk)
+                            f"{dastar.space.dim}")
+    dm = la.defect_of(m, tol)
+    dks = la.defect_of(k, tol, adjoint=True)
+    want = (dks.space.dim, dm.space.dim)
+    if x.shape != want:
+        raise ShapeMismatch(f"{nx} has shape {x.shape}, expected {want}")
+    return KMXParams(a, k, m, x, da, dastar, dm, dks)
 
 
 def kmx_params(a, k, m, x, tol: Tolerance = DEFAULT_TOL) -> KMXParams:
-    """Validate raw (A, K, M, X) matrices and attach their defect bases."""
+    """Validate raw (A, K, M, X) matrices and attach their decompositions."""
     return _params(a, k, m, x, tol, _KMX_NAMES)
 
 
 def assemble_kmx(p: KMXParams, tol: Tolerance = DEFAULT_TOL) -> BlockMatrix:
     """Build the contraction determined by (A, K, M, X)."""
-    da = la.defect_of(p.a, tol).op
-    dastar = la.defect_of(p.a, tol, adjoint=True).op
-    ua, uas = p.da_basis.basis, p.dastar_basis.basis
-    c = p.k @ (adj(ua) @ da)
-    b = dastar @ (uas @ p.m)
+    ua, uas = p.da.space.basis, p.dastar.space.basis
+    c = p.k @ (adj(ua) @ p.da.op)
+    b = p.dastar.op @ (uas @ p.m)
     astar_restr = adj(ua) @ adj(p.a) @ uas
-    dm = la.defect_of(p.m, tol).op
-    dks = la.defect_of(p.k, tol, adjoint=True).op
-    x_amb = p.dkstar_basis.basis @ p.x @ adj(p.dm_basis.basis)
-    d = -p.k @ astar_restr @ p.m + dks @ x_amb @ dm
+    x_amb = p.dkstar.space.basis @ p.x @ adj(p.dm.space.basis)
+    d = -p.k @ astar_restr @ p.m + p.dkstar.op @ x_amb @ p.dm.op
     t = BlockMatrix(d, c, b, p.a)
     _require_contraction(t.assemble(), "assembled block matrix", tol)
     return t
@@ -197,7 +200,7 @@ def _decompose(t: BlockMatrix, tol: Tolerance, names) -> KMXParams:
     x_amb = fk.basis @ x @ adj(em.basis)
     if la.matnorm_diff(dks.op @ x_amb @ dm.op, resid) > tol.eq_abs:
         raise NotContraction(f"no contractive {names[3]} reproduces the {names[4]} block")
-    return KMXParams(a, k, m, x, ua, uas, em, fk)
+    return KMXParams(a, k, m, x, da, dastar, dm, dks)
 
 
 def decompose_kmx(t: BlockMatrix, tol: Tolerance = DEFAULT_TOL) -> KMXParams:
@@ -207,7 +210,7 @@ def decompose_kmx(t: BlockMatrix, tol: Tolerance = DEFAULT_TOL) -> KMXParams:
 
 
 def fgl_params(d, f, g, l, tol: Tolerance = DEFAULT_TOL) -> FGLParams:
-    """Validate raw (D, F, G, L) matrices and attach their defect bases."""
+    """Validate raw (D, F, G, L) matrices and attach their decompositions."""
     return _mirror(_params(d, f, g, l, tol, _FGL_NAMES), FGLParams)
 
 
@@ -239,19 +242,15 @@ def iso_criteria(t: BlockMatrix, tol: Tolerance = DEFAULT_TOL) -> IsoFlags:
     with the products; disagreement signals inconsistent rank decisions.
     """
     p = decompose_kmx(t, tol)
-    da = la.defect_of(p.a, tol).op
-    dastar = la.defect_of(p.a, tol, adjoint=True).op
     dk = la.defect_of(p.k, tol).op
-    dm = la.defect_of(p.m, tol).op
     dmstar = la.defect_of(p.m, tol, adjoint=True).op
-    dks = la.defect_of(p.k, tol, adjoint=True).op
     dx = la.defect_of(p.x, tol).op
     dxstar = la.defect_of(p.x, tol, adjoint=True).op
     residuals = {
-        "dk_da": la.opnorm(dk @ (adj(p.da_basis.basis) @ da)),
-        "dx_dm": la.opnorm(dx @ (adj(p.dm_basis.basis) @ dm)),
-        "dmstar_dastar": la.opnorm(dmstar @ (adj(p.dastar_basis.basis) @ dastar)),
-        "dxstar_dkstar": la.opnorm(dxstar @ (adj(p.dkstar_basis.basis) @ dks)),
+        "dk_da": la.opnorm(dk @ (adj(p.da.space.basis) @ p.da.op)),
+        "dx_dm": la.opnorm(dx @ (adj(p.dm.space.basis) @ p.dm.op)),
+        "dmstar_dastar": la.opnorm(dmstar @ (adj(p.dastar.space.basis) @ p.dastar.op)),
+        "dxstar_dkstar": la.opnorm(dxstar @ (adj(p.dkstar.space.basis) @ p.dkstar.op)),
     }
     iso = residuals["dk_da"] <= tol.eq_abs and residuals["dx_dm"] <= tol.eq_abs
     coiso = (
@@ -261,8 +260,6 @@ def iso_criteria(t: BlockMatrix, tol: Tolerance = DEFAULT_TOL) -> IsoFlags:
     direct_iso = la.is_isometry(full, tol)
     direct_coiso = la.is_coisometry(full, tol)
     if iso != direct_iso or coiso != direct_coiso:
-        from .errors import RankInconsistency
-
         raise RankInconsistency(
             f"parameter criteria {(iso, coiso)} disagree with Gram tests "
             f"{(direct_iso, direct_coiso)}"
@@ -285,19 +282,17 @@ def unitary_link(t: BlockMatrix, tol: Tolerance = DEFAULT_TOL) -> dict:
         raise NotUnitary("unitary_link requires a unitary block matrix")
     kmx = decompose_kmx(t, tol)
     fgl = decompose_fgl(t, tol)
-    m_amb = kmx.dastar_basis.basis @ kmx.m
-    k_amb = kmx.k @ adj(kmx.da_basis.basis)
-    dd_space = fgl.dd_basis
-    dds_space = fgl.ddstar_basis
+    m_amb = kmx.dastar.space.basis @ kmx.m
+    k_amb = kmx.k @ adj(kmx.da.space.basis)
     ran_mstar = la.range_basis(adj(m_amb), tol)
     ran_k = la.range_basis(k_amb, tol)
-    f_amb = fgl.f @ adj(fgl.dd_basis.basis)
-    g_amb = fgl.ddstar_basis.basis @ fgl.g
-    l_amb = fgl.dfstar_basis.basis @ fgl.l @ adj(fgl.dg_basis.basis)
-    p_ker = la.defect_of(t.a, tol).kernel.projector()
+    f_amb = fgl.f @ adj(fgl.dd.space.basis)
+    g_amb = fgl.ddstar.space.basis @ fgl.g
+    l_amb = fgl.dfstar.space.basis @ fgl.l @ adj(fgl.dg.space.basis)
+    p_ker = kmx.da.kernel.projector()
     return {
-        "dd_vs_ran_mstar": la.matnorm_diff(dd_space.projector(), ran_mstar.projector()),
-        "ddstar_vs_ran_k": la.matnorm_diff(dds_space.projector(), ran_k.projector()),
+        "dd_vs_ran_mstar": la.matnorm_diff(fgl.dd.space.projector(), ran_mstar.projector()),
+        "ddstar_vs_ran_k": la.matnorm_diff(fgl.ddstar.space.projector(), ran_k.projector()),
         "fstar_vs_mstar": la.matnorm_diff(adj(f_amb), adj(m_amb)),
         "g_vs_k": la.matnorm_diff(g_amb, k_amb),
         "l_vs_a_on_ker": la.matnorm_diff(l_amb, t.a @ p_ker),

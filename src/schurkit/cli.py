@@ -18,7 +18,7 @@ import numpy as np
 from . import linalg as la
 from . import serialize
 from .contractions import Contraction
-from .errors import SchurkitError
+from .errors import NotCNU, SchurkitError
 from .linalg import Tolerance
 from .schur import CHAIN_THRESHOLDS, build_chain, verify_chain
 from .systems import DiscreteSystem, disk_grid, random_conservative_system
@@ -81,10 +81,13 @@ def _state_of(sys: DiscreteSystem) -> Contraction | None:
 
 
 def _defect_profile_json(state: Contraction | None, n_max: int | None):
-    if state is None or not state.is_cnu():
+    """The defect profile; None for no state or a state that is not c.n.u."""
+    if state is None:
         return None
-    depth = state.dim if n_max is None else n_max
-    profile = state.defect_profile(depth)
+    try:
+        profile = state.defect_profile(state.dim if n_max is None else n_max)
+    except NotCNU:
+        return None
     return {"delta": profile.delta, "delta_star": profile.delta_star}
 
 
@@ -167,7 +170,7 @@ def _run_verify(ns: argparse.Namespace) -> int:
         "gammas": [la.matrix_to_json(g) for g in chain.params.gammas],
         "termination_step": chain.termination_step,
         "residuals": dict(sorted(report.residuals.items())),
-        "thresholds": dict(sorted(report.thresholds.items())),
+        "thresholds": dict(sorted(CHAIN_THRESHOLDS.items())),
         "pass": report.ok,
     }
     _emit(ns, serialize.dumps(out))

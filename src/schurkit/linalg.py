@@ -8,10 +8,11 @@ stacked kernels return, bit for bit, what they return for each matrix.
 Every rank decision in the
 package funnels through one relative cutoff, ``Tolerance.rank_rel``:
 singular values of a matrix are cut at ``rank_rel`` times the largest one,
-while defects and intersections are decided on a squared scale, where
-``rank_rel`` cuts the eigenvalues of I - X*X and the squared sines of
-principal angles.  Every approximate comparison goes through one absolute
-tolerance (``Tolerance.eq_abs``).
+while defects and intersections are decided on a squared scale by one
+function, which cuts the eigenvalues of I - X*X; an intersection is the
+adjoint defect decision of G = W_S* W_O, whose eigenvalues are squared
+sines of principal angles.  Every approximate comparison goes through one
+absolute tolerance (``Tolerance.eq_abs``).
 """
 
 from __future__ import annotations
@@ -116,10 +117,15 @@ def solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(a, np.broadcast_to(b, a.shape[:-1] + b.shape[-1:]))
 
 
+def _isometry_gap(m: np.ndarray):
+    """||M*M - I||, per matrix for a stack; 0 exactly when M is an isometry."""
+    return opnorm(adj(m) @ m - eye(m.shape[-1]))
+
+
 def unitarity_residual(m: np.ndarray):
     """max(||M*M - I||, ||MM* - I||); 0 exactly when M is unitary.  Per
     matrix for a stack."""
-    gaps = (opnorm(adj(m) @ m - eye(m.shape[-1])), opnorm(m @ adj(m) - eye(m.shape[-2])))
+    gaps = (_isometry_gap(m), _isometry_gap(adj(m)))
     return np.maximum(*gaps) if m.ndim > 2 else max(gaps)
 
 
@@ -215,16 +221,12 @@ class DefectData:
     kernel: Subspace
 
 
-def defect_stack(x: np.ndarray, tol: Tolerance = DEFAULT_TOL, adjoint: bool = False):
-    """The defect rank decision of :func:`defect_of` on a stack ``x``
-    (..., rows, cols), one decision per matrix.
-
-    Returns ``(op, op_pinv, vecs, keep, lowest)``: the defect operators and
-    their pseudo-inverses, the eigenvectors of I - X*X (I - XX* with
-    ``adjoint``) in ascending order of eigenvalue, the mask of the kept
-    eigenvalues (always a suffix), and the lowest eigenvalue capped at 0,
-    below -eq_abs when X is no contraction.
-    """
+def _defect_decision(x: np.ndarray, tol: Tolerance, adjoint: bool):
+    """The squared-scale rank decision on I - X*X (I - XX* with
+    ``adjoint``), per matrix of a stack ``x``: ``(w, vecs, keep, lowest)``,
+    the eigenvalues in ascending order clipped at 0, their eigenvectors, the
+    mask of the kept ones (always a suffix), and the lowest eigenvalue
+    capped at 0, below -eq_abs when X is no contraction."""
     n = x.shape[-2] if adjoint else x.shape[-1]
     h = eye(n) - (x @ adj(x) if adjoint else adj(x) @ x)
     h = (h + adj(h)) / 2.0
@@ -232,6 +234,18 @@ def defect_stack(x: np.ndarray, tol: Tolerance = DEFAULT_TOL, adjoint: bool = Fa
     lowest = w.min(axis=-1, initial=0.0)
     w = np.clip(w, 0.0, None)
     keep = w > tol.rank_rel * np.maximum(1.0, w[..., -1:])
+    return w, v, keep, lowest
+
+
+def defect_stack(x: np.ndarray, tol: Tolerance = DEFAULT_TOL, adjoint: bool = False):
+    """The defect rank decision of :func:`defect_of` on a stack ``x``
+    (..., rows, cols), one decision per matrix.
+
+    Returns ``(op, op_pinv, vecs, keep, lowest)``: the defect operators and
+    their pseudo-inverses, then the eigenvectors, the kept mask and the
+    lowest eigenvalue of the shared decision.
+    """
+    w, v, keep, lowest = _defect_decision(x, tol, adjoint)
     s = np.where(keep, np.sqrt(w), 0.0)[..., None, :]
     op = (v * s) @ adj(v)
     op = (op + adj(op)) / 2.0
@@ -344,10 +358,10 @@ def subspace_intersect(u: Subspace, v: Subspace, tol: Tolerance = DEFAULT_TOL) -
 
     Decided inside the smaller subspace S, against the other one O: with
     G = W_S* W_O, the eigenvalues of I - G G* are the squared sines of the
-    principal angles between S and O, and the eigenvectors whose value is
-    at or below ``rank_rel`` span the intersection.  The cut is on the
-    squared scale, like the one of :func:`defect_of`, and the cost is one
-    m x m eigendecomposition with m = min(dim U, dim V).
+    principal angles between S and O, and the eigenvectors that the adjoint
+    defect decision of G (the one of :func:`defect_of`) drops span the
+    intersection; its cut rank_rel * max(1, largest) is rank_rel here.  The
+    cost is one m x m eigendecomposition with m = min(dim U, dim V).
     """
     if u.ambient_dim != v.ambient_dim:
         raise AmbientMismatch(f"ambient {u.ambient_dim} != {v.ambient_dim}")
@@ -355,16 +369,13 @@ def subspace_intersect(u: Subspace, v: Subspace, tol: Tolerance = DEFAULT_TOL) -
     small, other = (u, v) if u.dim <= v.dim else (v, u)
     if small.dim == 0:
         return trivial_space(d)
-    g = adj(small.basis) @ other.basis
-    h = eye(small.dim) - g @ adj(g)
-    w, vecs = np.linalg.eigh((h + adj(h)) / 2.0)
-    keep = w <= tol.rank_rel
-    k = int(np.sum(keep))
+    _, vecs, keep, _ = _defect_decision(adj(small.basis) @ other.basis, tol, adjoint=True)
+    k = int(np.sum(~keep))
     if k == 0:
         return trivial_space(d)
     if k == d:
         return full_space(d)
-    return Subspace(d, small.basis @ vecs[:, keep])
+    return Subspace(d, small.basis @ vecs[:, ~keep])
 
 
 def projector(u: Subspace) -> np.ndarray:
@@ -389,9 +400,7 @@ def is_contraction(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 def is_isometry(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     m = cmatrix(m)
-    if m.shape[1] > m.shape[0]:
-        return False
-    return matnorm_diff(adj(m) @ m, eye(m.shape[1])) <= tol.eq_abs
+    return m.shape[1] <= m.shape[0] and _isometry_gap(m) <= tol.eq_abs
 
 
 def is_coisometry(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -401,9 +410,7 @@ def is_coisometry(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
 def is_unitary(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True for square matrices with M*M = MM* = I; a 0x0 matrix is unitary."""
     m = cmatrix(m)
-    if m.shape[0] != m.shape[1]:
-        return False
-    return is_isometry(m, tol) and is_coisometry(m, tol)
+    return m.shape[0] == m.shape[1] and is_isometry(m, tol) and is_coisometry(m, tol)
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

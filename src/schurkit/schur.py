@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg as la
+from .blockparam import assemble_blocks
 from .contractions import Contraction
 from .errors import (
     InvalidSequence,
@@ -604,10 +605,10 @@ CHAIN_THRESHOLDS = {
 
 @dataclass
 class ChainReport:
-    """Residual table from cross-verifying a chain; ``ok`` is the verdict."""
+    """Residual table from cross-verifying a chain; ``ok`` is the verdict,
+    each residual against the threshold of its kind in CHAIN_THRESHOLDS."""
 
     residuals: dict[str, float] = field(default_factory=dict)
-    thresholds: dict[str, float] = field(default_factory=lambda: dict(CHAIN_THRESHOLDS))
 
     def add(self, kind: str, detail: str, value: float):
         self.residuals[f"{kind}[{detail}]" if detail else kind] = float(value)
@@ -616,7 +617,7 @@ class ChainReport:
         out = {}
         for name, value in self.residuals.items():
             kind = name.split("[", 1)[0]
-            if not (value <= self.thresholds[kind]):
+            if not (value <= CHAIN_THRESHOLDS[kind]):
                 out[name] = value
         return out
 
@@ -685,12 +686,14 @@ def verify_chain(chain: SchurChain, grid=None) -> ChainReport:
     oracle = schur_oracle(chain.source.sampled(), len(seq) - 1, tol)
     if oracle.breakdown is not None:
         report.add("oracle_breakdown", str(oracle.breakdown), float("inf"))
-    # an invalid sequence may have fewer bases than parameters; shape
-    # reports it, and only the steps with bases are compared
-    n_bases = min(len(seq.doms), len(seq.codoms))
+    # (omega, psi) per step: the oracle's input and output bases in the
+    # chain's.  An invalid sequence may have fewer bases than parameters;
+    # shape reports it, and only the steps with bases are compared
+    n_bases = min(len(seq.doms), len(seq.codoms), len(oracle.doms))
+    aligners = [(adj(seq.doms[n]) @ oracle.doms[n], adj(seq.codoms[n]) @ oracle.codoms[n])
+                for n in range(n_bases)]
     for n in range(min(len(seq), n_bases, len(oracle.params))):
-        omega = adj(seq.doms[n]) @ oracle.doms[n]
-        psi = adj(seq.codoms[n]) @ oracle.codoms[n]
+        omega, psi = aligners[n]
         align = max(
             la.matnorm_diff(adj(omega) @ omega, la.eye(omega.shape[1])),
             la.matnorm_diff(adj(psi) @ psi, la.eye(psi.shape[1])),
@@ -703,10 +706,9 @@ def verify_chain(chain: SchurChain, grid=None) -> ChainReport:
 
     for idx, family in enumerate(chain.families):
         n = idx + 1
-        if n >= min(len(oracle.iterates), n_bases):
+        if n >= n_bases:
             break
-        omega = adj(seq.doms[n]) @ oracle.doms[n]
-        psi = adj(seq.codoms[n]) @ oracle.codoms[n]
+        omega, psi = aligners[n]
         theta_o = oracle.iterates[n]
         aligned = psi @ theta_o.on(pts) @ adj(omega)
         try:
@@ -718,7 +720,7 @@ def verify_chain(chain: SchurChain, grid=None) -> ChainReport:
         pure = np.full(len(family), np.inf)
         transfers = np.zeros((len(family),) + aligned.shape, dtype=complex)
         for members, blocks in _state_groups(family):
-            colligations = _colligations(*blocks)
+            colligations = assemble_blocks(*blocks)
             unitarity[members] = la.unitarity_residual(colligations)
             if fits[members[0]]:
                 transfers[members], pure[members] = _pure_char_residual(
@@ -734,10 +736,10 @@ def verify_chain(chain: SchurChain, grid=None) -> ChainReport:
         for k in range(len(family) - 1):
             report.add("transfer_across_k", f"{n},{k}", across_k[k])
             u = _lattice_intertwiner(chain, idx, k)
-            fits = u.shape == (family[k + 1].state_dim, family[k].state_dim)
             report.add(
                 "similarity", f"{n},{k}",
-                intertwining_residual(family[k], family[k + 1], u) if fits else float("inf"),
+                intertwining_residual(family[k], family[k + 1], u)
+                if u.shape == (family[k + 1].state_dim, family[k].state_dim) else float("inf"),
             )
     return report
 
@@ -758,11 +760,6 @@ def _state_groups(family: list[DiscreteSystem]):
     for members in _index_groups((s.state_dim, s.in_dim, s.out_dim) for s in family):
         yield members, tuple(np.array([getattr(family[i].block, blk) for i in members])
                              for blk in "dcba")
-
-
-def _colligations(d, c, b, a) -> np.ndarray:
-    """The colligations [D C; B A] of a stack of systems."""
-    return np.concatenate([np.concatenate([d, c], -1), np.concatenate([b, a], -1)], -2)
 
 
 def _pure_char_residual(blocks, colligations: np.ndarray, split: PureSplit | None,

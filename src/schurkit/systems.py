@@ -62,8 +62,8 @@ class SampledFunction:
         if pts.ndim != 1:
             raise ShapeMismatch(f"points must form a 1-D array, got shape {pts.shape}")
         radius = float(np.max(np.abs(pts), initial=0.0))
-        if radius >= 1.0:
-            raise OutsideDisk(f"|lambda| = {radius:.6f} >= 1")
+        if not radius < 1.0:  # a NaN point fails this test too
+            raise OutsideDisk(f"|lambda| = {radius:.6f} is not below 1")
         values = np.asarray(self.eval_fn(pts), dtype=complex)
         want = (pts.shape[0], self.out_dim, self.in_dim)
         if values.shape != want:
@@ -221,25 +221,12 @@ class DiscreteSystem:
         return states, outputs
 
     def controllable_subspace(self) -> Subspace:
-        """Span of A^n B for n below the state dimension (Cayley-Hamilton cap)."""
-        d = self.state_dim
-        if d == 0:
-            return la.trivial_space(0)
-        blocks, power = [], la.eye(d)
-        for _ in range(d):
-            blocks.append(power @ self.b)
-            power = self.a @ power
-        return la.range_basis(np.hstack(blocks), self.tol)
+        """Span of A^n B for n below the state dimension."""
+        return _krylov_range(self.a, self.b, self.tol)
 
     def observable_subspace(self) -> Subspace:
-        d = self.state_dim
-        if d == 0:
-            return la.trivial_space(0)
-        blocks, power = [], la.eye(d)
-        for _ in range(d):
-            blocks.append(power @ adj(self.c))
-            power = adj(self.a) @ power
-        return la.range_basis(np.hstack(blocks), self.tol)
+        """Span of A*^n C* for n below the state dimension."""
+        return _krylov_range(adj(self.a), adj(self.c), self.tol)
 
     def classify(self, state: Contraction | None = None) -> SystemClassification:
         """Classification flags; conservative systems are cross-checked
@@ -265,17 +252,10 @@ class DiscreteSystem:
         if conservative and d > 0:
             if state is None or state.tol != self.tol:
                 state = Contraction(self.a, self.tol)
-            ctrl_perp_kernels = state.h_subspace(0, d)
-            obs_perp_kernels = state.h_subspace(d, 0)
-            if (
-                la.matnorm_diff(ctrl.complement(self.tol).projector(),
-                                ctrl_perp_kernels.projector()) > 1e-7
-                or la.matnorm_diff(obs.complement(self.tol).projector(),
-                                   obs_perp_kernels.projector()) > 1e-7
-            ):
-                raise RankInconsistency(
-                    "Krylov and defect-kernel characterizations disagree"
-                )
+            # I - P projects onto the complement; no basis of it is needed
+            for span, kernels in ((ctrl, state.h_subspace(0, d)), (obs, state.h_subspace(d, 0))):
+                if la.matnorm_diff(la.eye(d) - span.projector(), kernels.projector()) > 1e-7:
+                    raise RankInconsistency("Krylov and defect-kernel characterizations disagree")
         return SystemClassification(
             passive, isometric, coisometric, conservative,
             controllable, observable, simple, controllable and observable,
@@ -284,6 +264,19 @@ class DiscreteSystem:
     def is_simple_conservative(self) -> bool:
         cls = self.classify()
         return cls.conservative and cls.simple
+
+
+def _krylov_range(a: np.ndarray, b: np.ndarray, tol: Tolerance) -> Subspace:
+    """Span of A^n B for n below the dimension of A; higher powers are
+    redundant by Cayley-Hamilton."""
+    d = a.shape[0]
+    if d == 0:
+        return la.trivial_space(0)
+    blocks, power = [], la.eye(d)
+    for _ in range(d):
+        blocks.append(power @ b)
+        power = a @ power
+    return la.range_basis(np.hstack(blocks), tol)
 
 
 def discrete_system(d, c, b, a, tol: Tolerance = DEFAULT_TOL) -> DiscreteSystem:

@@ -244,13 +244,13 @@ def test_criterion_6_parametrization_roundtrips():
         dk = la.defect_of(kmx.k).op
         dm = la.defect_of(kmx.m).op
         dx = la.defect_of(kmx.x).op
-        ua, uas, em = kmx.da_basis.basis, kmx.dastar_basis.basis, kmx.dm_basis.basis
+        ua, uas, em = kmx.da.space.basis, kmx.dastar.space.basis, kmx.dm.space.basis
         h = random_matrix(rng, in_dim, 1)[:, 0]
         f = random_matrix(rng, state, 1)[:, 0]
         vec = np.concatenate([h, f])
         lhs = np.linalg.norm(vec) ** 2 - np.linalg.norm(t.assemble() @ vec) ** 2
         inner = adj(ua) @ da @ f - (adj(ua) @ adj(kmx.a) @ uas) @ (kmx.m @ h)
-        x_amb = kmx.dkstar_basis.basis @ kmx.x @ adj(em)
+        x_amb = kmx.dkstar.space.basis @ kmx.x @ adj(em)
         t1 = dk @ inner - adj(kmx.k) @ x_amb @ dm @ h
         t2 = dx @ (adj(em) @ dm @ h)
         worst_id = max(worst_id, abs(lhs - np.linalg.norm(t1) ** 2
@@ -260,8 +260,8 @@ def test_criterion_6_parametrization_roundtrips():
         df = la.defect_of(fgl.f).op
         dg = la.defect_of(fgl.g).op
         dl = la.defect_of(fgl.l).op
-        ed, fds = fgl.dd_basis.basis, fgl.ddstar_basis.basis
-        eg, ffs = fgl.dg_basis.basis, fgl.dfstar_basis.basis
+        ed, fds = fgl.dd.space.basis, fgl.ddstar.space.basis
+        eg, ffs = fgl.dg.space.basis, fgl.dfstar.space.basis
         full_t = t.assemble()
         dt_op = la.defect_of(full_t).op
         lhs = np.linalg.norm(dt_op @ vec) ** 2

@@ -84,15 +84,15 @@ class TestKmx:
             dk = la.defect_of(p.k).op
             dm = la.defect_of(p.m).op
             dx = la.defect_of(p.x).op
-            ua, uas = p.da_basis.basis, p.dastar_basis.basis
-            em = p.dm_basis.basis
+            ua, uas = p.da.space.basis, p.dastar.space.basis
+            em = p.dm.space.basis
             for _ in range(4):
                 h = random_matrix(rng, 2, 1)[:, 0]
                 f = random_matrix(rng, 3, 1)[:, 0]
                 vec = np.concatenate([h, f])
                 lhs = np.linalg.norm(vec) ** 2 - np.linalg.norm(t.assemble() @ vec) ** 2
                 inner = adj(ua) @ da @ f - (adj(ua) @ adj(p.a) @ uas) @ (p.m @ h)
-                term1 = dk @ inner - adj(p.k) @ (p.dkstar_basis.basis @ p.x @ adj(em)) @ dm @ h
+                term1 = dk @ inner - adj(p.k) @ (p.dkstar.space.basis @ p.x @ adj(em)) @ dm @ h
                 term2 = dx @ (adj(em) @ dm @ h)
                 rhs = np.linalg.norm(term1) ** 2 + np.linalg.norm(term2) ** 2
                 assert abs(lhs - rhs) <= 1e-8
@@ -150,8 +150,8 @@ class TestFgl:
             dfs = la.defect_of(p.f, adjoint=True).op
             dl = la.defect_of(p.l).op
             dls = la.defect_of(p.l, adjoint=True).op
-            ed, fds = p.dd_basis.basis, p.ddstar_basis.basis
-            eg, ffs = p.dg_basis.basis, p.dfstar_basis.basis
+            ed, fds = p.dd.space.basis, p.ddstar.space.basis
+            eg, ffs = p.dg.space.basis, p.dfstar.space.basis
             h = random_matrix(rng, 2, 1)[:, 0]
             f = random_matrix(rng, 3, 1)[:, 0]
             lhs = np.linalg.norm(dt @ np.concatenate([h, f])) ** 2
@@ -285,6 +285,53 @@ class TestMoebiusMap:
                         la.zeros(1, 1))
         with pytest.raises(ShapeMismatch):
             moebius_map(d, q)
+
+
+class TestDecomposesOnce:
+    """Each parameter is decomposed once per call chain: the parameter sets
+    keep D(A), D(A*), D(M) and D(K*) (D(D), D(D*), D(G) and D(F*) for the
+    FGL form), and assembly, the criteria and the link read them."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        made = []
+        defect_of = la.defect_of
+
+        def counting(x, *args, **kwargs):
+            made.append(x)
+            return defect_of(x, *args, **kwargs)
+
+        monkeypatch.setattr(la, "defect_of", counting)
+        return made
+
+    def test_records_the_decompositions(self, rng):
+        t = random_block_contraction(rng, 2, 1, 3)
+        p, q = decompose_kmx(t), decompose_fgl(t)
+        for dec, x, adjoint in ((p.da, p.a, False), (p.dastar, p.a, True),
+                                (p.dm, p.m, False), (p.dkstar, p.k, True),
+                                (q.dd, q.d, False), (q.ddstar, q.d, True),
+                                (q.dg, q.g, False), (q.dfstar, q.f, True)):
+            fresh = la.defect_of(x, adjoint=adjoint)
+            assert np.array_equal(dec.op, fresh.op)
+            assert np.array_equal(dec.space.basis, fresh.space.basis)
+
+    def test_params_then_assemble(self, rng, calls):
+        t = random_block_contraction(rng, 2, 2, 3)
+        p, q = decompose_kmx(t), decompose_fgl(t)
+        del calls[:]
+        assemble_kmx(kmx_params(p.a, p.k, p.m, p.x))
+        assert len(calls) == 4
+        del calls[:]
+        assemble_fgl(fgl_params(q.d, q.f, q.g, q.l))
+        assert len(calls) == 4
+
+    def test_iso_criteria(self, rng, calls):
+        iso_criteria(random_block_contraction(rng, 2, 2, 3))
+        assert len(calls) == 8
+
+    def test_unitary_link(self, rng, calls):
+        unitary_link(split_blocks(la.haar_unitary(5, rng), 2, 2))
+        assert len(calls) == 8
 
 
 class TestShmulyan:

@@ -64,6 +64,18 @@ def test_analyze_unitary_without_inputs(tmp_path):
     assert report["defect_profile"] is None
 
 
+def test_analyze_svd_count(tmp_path, monkeypatch):
+    # the defect profile decides c.n.u. once, and the classification checks
+    # the complements without a complement basis each
+    path = tmp_path / "sys.json"
+    assert main(["random", "--seed", "1", "--state-dim", "16", "--io-dim", "2",
+                 "--output", str(path)]) == 0
+    svd, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    assert main(["analyze", "--input", str(path), "--output", str(tmp_path / "a.json")]) == 0
+    assert len(calls) == 10
+
+
 def test_schur_chain_output(tmp_path):
     path = tmp_path / "anchor.json"
     path.write_text(serialize.dumps(serialize.system_to_json(permutation_colligation())))

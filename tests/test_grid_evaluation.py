@@ -91,11 +91,12 @@ def test_outside_disk_anywhere_in_the_array():
     sys = random_conservative_system(4, 1, np.random.default_rng(4))
     oracle = schur_oracle(sys.sampled(), 2)
     for f in (sys.sampled(), oracle.iterates[-1], char_function(Contraction(adj(sys.a)))):
-        for pts in ([0.0, 0.5, 1.0], [0.2, -1.2j, 0.1], [1.0 + 0.0j]):
+        for pts in ([0.0, 0.5, 1.0], [0.2, -1.2j, 0.1], [1.0 + 0.0j], [0.2, np.nan]):
             with pytest.raises(OutsideDisk):
                 f.on(pts)
-        with pytest.raises(OutsideDisk):
-            f(0.6 + 0.8j)
+        for lam in (0.6 + 0.8j, np.nan):
+            with pytest.raises(OutsideDisk):
+                f(lam)
 
 
 def test_wrong_stack_shape():

@@ -193,6 +193,34 @@ class TestSubspaceIntersectProperties:
         assert la.subspace_intersect(u, v).dim == shared
         assert la.subspace_intersect(v, u).dim == shared
 
+    def test_shares_the_defect_decision(self, rng):
+        # the intersection is W_S times the eigenvectors that the adjoint
+        # defect decision of G = W_S* W_O drops, bit for bit; a full
+        # intersection is canonicalized to the identity basis
+        def dropped(u, v):
+            small, other = (u, v) if u.dim <= v.dim else (v, u)
+            g = adj(small.basis) @ other.basis
+            _, vecs, keep, _ = la._defect_decision(g, la.DEFAULT_TOL, adjoint=True)
+            return small.basis @ vecs[:, ~keep], keep
+
+        q = la.haar_unitary(7, rng)
+        mixers = [la.haar_unitary(n, rng) for n in range(8)]
+        pairs = [_planted_pair(q, mixers, du, dv, k, rng)
+                 for du, dv, k in ((2, 4, 1), (3, 5, 2), (4, 4, 3), (3, 3, 0))]
+        inner = la.Subspace(7, q[:, :2] @ mixers[2])
+        pairs.append((inner, la.Subspace(7, q[:, :5] @ mixers[5])))  # inner lies in the other
+        for u, v in pairs:
+            for first, second in ((u, v), (v, u)):
+                expected, _ = dropped(first, second)
+                assert np.array_equal(la.subspace_intersect(first, second).basis, expected)
+        contained, _ = dropped(*pairs[-1])
+        assert contained.shape == (7, 2) and not np.array_equal(contained, inner.basis)
+        assert dropped(*pairs[3])[0].shape == (7, 0)
+        full = la.full_space(7)
+        _, keep = dropped(full, full)
+        assert not keep.any()
+        assert np.array_equal(la.subspace_intersect(full, full).basis, np.eye(7))
+
     def test_full_and_trivial_canonical(self):
         full = la.full_space(3)
         assert np.array_equal(la.subspace_intersect(full, full).basis, np.eye(3))

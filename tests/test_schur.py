@@ -436,7 +436,6 @@ class TestVerifyChain:
         report = verify_chain(chain)
         assert f"gamma[{step}]" in report.residuals
         assert report.ok, report.failures()
-        assert report.thresholds["oracle_breakdown"] == CHAIN_THRESHOLDS["oracle_breakdown"]
 
     def test_solve_count_grows_with_depth_only(self, monkeypatch):
         # each oracle iterate is sampled once per point array, so the

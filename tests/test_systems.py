@@ -130,6 +130,23 @@ class TestClassify:
         assert sys.classify().simple == Contraction(sys.a).is_cnu()
 
 
+    def test_observable_is_controllable_of_the_dual(self, rng):
+        # one Krylov range: observability of (A, C) is controllability of (A*, C*)
+        sys = random_conservative_system(5, 2, rng)
+        dual = discrete_system(adj(sys.d), adj(sys.b), adj(sys.c), adj(sys.a))
+        assert np.array_equal(sys.observable_subspace().basis,
+                              dual.controllable_subspace().basis)
+
+    def test_classify_svd_count(self, monkeypatch):
+        # the complements are checked as I - P against the power kernels,
+        # without a complement basis each
+        sys = random_conservative_system(16, 2, np.random.default_rng(1))
+        svd, calls = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        assert sys.classify().simple
+        assert len(calls) == 9
+
+
 class TestCharFunction:
     def test_scalar_zero(self):
         phi = char_function(Contraction([[0.0]]))
@@ -242,7 +259,7 @@ class TestPureProposition:
             phi = char_function(Contraction(adj(sys.a)))
             dks = la.defect_of(kmx.k, adjoint=True).op
             dm = la.defect_of(kmx.m).op
-            x_amb = kmx.dkstar_basis.basis @ kmx.x @ adj(kmx.dm_basis.basis)
+            x_amb = kmx.dkstar.space.basis @ kmx.x @ adj(kmx.dm.space.basis)
             for lam in GRID:
                 rhs = kmx.k @ phi(lam) @ kmx.m + dks @ x_amb @ dm
                 assert la.matnorm_diff(sys.transfer(lam), rhs) <= 1e-9
