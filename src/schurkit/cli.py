@@ -165,7 +165,7 @@ def _run_verify(ns: argparse.Namespace) -> int:
     chain, report = _build_verified_chain(ns, system)
     state = chain.state if system.state_dim else None
     out = {
-        "classification": system.classify(state).as_dict(),
+        "classification": chain.classification.as_dict(),
         "defect_profile": _defect_profile_json(state, ns.n_max),
         "gammas": [la.matrix_to_json(g) for g in chain.params.gammas],
         "termination_step": chain.termination_step,

@@ -4,6 +4,12 @@ For a square contraction A this module computes defect operators and
 subspaces, the kernel lattice H(n, m) = ker D_{A^n} /\\ ker D_{A*^m}, the
 compressions A(n, m) of A to those subspaces, the one-step partial
 products, and the derived defect-number profile.
+
+The lattice needs no power of A: I - A*^n A^n telescopes to
+sum_{j<n} A*^j D_A^2 A^j, so ker D_{A^n} is the orthocomplement of the
+block Krylov space K_n(A*, ran D_A), and ker D_{A*^m} that of
+K_m(A, ran D_A*).  One block-Arnoldi basis per side gives every edge entry
+as a column slice, and each inner entry is one step from its neighbour.
 """
 
 from __future__ import annotations
@@ -30,6 +36,10 @@ class DefectProfile:
     delta_star: list[int]
 
 
+# (basis, dims) of a completed block Krylov basis, as block_arnoldi returns it
+_Krylov = tuple[np.ndarray, list[int]]
+
+
 class Contraction:
     """A square contraction with cached defect data.
 
@@ -38,7 +48,10 @@ class Contraction:
     ``d_astar``, ``defect_a`` and ``defect_astar`` are their operators and
     defect spaces.  Immutable after construction; per-(n, m) subspaces and
     compressions are memoized so that "the stored basis" is a well-defined
-    notion.
+    notion.  The first lattice request builds two block-Arnoldi bases, one
+    of K(A*, ran D_A) (the observability side) and one of K(A, ran D_A*)
+    (the controllability side); a Contraction that never asks for the
+    lattice does not build them.
     """
 
     def __init__(self, a, tol: Tolerance = DEFAULT_TOL):
@@ -58,6 +71,7 @@ class Contraction:
         self.defect_astar = self.defect_data_star.space
         self._powers: dict[int, np.ndarray] = {0: la.eye(self.dim), 1: a}
         self._h_cache: dict[tuple[int, int], Subspace] = {}
+        self._krylov: tuple[_Krylov, _Krylov] | None = None
 
     def power(self, n: int) -> np.ndarray:
         if n not in self._powers:
@@ -71,25 +85,39 @@ class Contraction:
     def h_subspace(self, n: int, m: int) -> Subspace:
         """H(n, m), with H(0, 0) the full space.
 
-        H(n, 0) = ker D_{A^n} and H(0, m) = ker D_{A*^m} are the power
-        kernels; every other entry intersects those two cached entries.
+        H(n, 0) = K_n(A*, ran D_A)^perp is the observability basis past its
+        first dim K_n columns, and H(0, m) the same slice of the
+        controllability basis; both are stored as contiguous copies.  An
+        inner entry is H(n, m-1) /\\ (ran Q_m)^perp, with Q_m the m-th
+        controllability block: one SVD of W* Q_m for the basis W of
+        H(n, m-1) (:func:`~schurkit.linalg.intersect_perp`).
         """
         if n < 0 or m < 0:
             raise ValueError("indices must be nonnegative")
-        key = (n, m)
-        if key not in self._h_cache:
+        if (n, m) not in self._h_cache:
             if n == 0 and m == 0:
-                space = la.full_space(self.dim)
-            elif m == 0:
-                space = la.defect_of(self.power(n), self.tol).kernel
-            elif n == 0:
-                space = la.defect_of(self.power(m), self.tol, adjoint=True).kernel
+                self._h_cache[n, m] = la.full_space(self.dim)
+            elif n == 0 or m == 0:
+                basis, dims = self._bases()[0 if m == 0 else 1]
+                cut = dims[min(n + m, len(dims) - 1)]
+                self._h_cache[n, m] = Subspace(self.dim, np.ascontiguousarray(basis[:, cut:]))
             else:
-                space = la.subspace_intersect(
-                    self.h_subspace(n, 0), self.h_subspace(0, m), self.tol
-                )
-            self._h_cache[key] = space
-        return self._h_cache[key]
+                k = next(j for j in range(m - 1, -1, -1) if j == 0 or (n, j) in self._h_cache)
+                space = self.h_subspace(n, k)
+                basis, dims = self._bases()[1]
+                for j in range(k + 1, m + 1):
+                    block = basis[:, dims[j - 1]:dims[j]] if j < len(dims) else basis[:, :0]
+                    space = la.intersect_perp(space, block, self.tol)
+                    self._h_cache[n, j] = space
+        return self._h_cache[n, m]
+
+    def _bases(self) -> tuple[_Krylov, _Krylov]:
+        """The (basis, dims) pairs of :func:`~schurkit.linalg.block_arnoldi`
+        for K(A*, ran D_A) and K(A, ran D_A*), built on first use."""
+        if self._krylov is None:
+            self._krylov = (la.block_arnoldi(adj(self.a), self.defect_a.basis, self.tol),
+                            la.block_arnoldi(self.a, self.defect_astar.basis, self.tol))
+        return self._krylov
 
     def compress(self, n: int, m: int) -> np.ndarray:
         """Matrix of P(n, m) A restricted to H(n, m) in the stored basis."""
@@ -105,18 +133,10 @@ class Contraction:
     def is_cnu(self) -> bool:
         """No nontrivial reducing subspace on which A acts unitarily.
 
-        Tests whether the columns of {A*^n D_A, A^m D_A*} for n, m < dim
-        span the whole space; higher powers are redundant by
-        Cayley-Hamilton.
+        That subspace is H(dim, dim): the kernel chains are nested, so
+        depth dim suffices.
         """
-        if self.dim == 0:
-            return True
-        cols = []
-        for k in range(self.dim):
-            cols.append(adj(self.power(k)) @ self.d_a)
-            cols.append(self.power(k) @ self.d_astar)
-        stacked = np.hstack(cols)
-        return la.range_basis(stacked, self.tol).dim == self.dim
+        return self.h_subspace(self.dim, self.dim).dim == 0
 
     def canonical_split(self) -> tuple[Subspace, Subspace]:
         """(H0, H1): completely non-unitary part and unitary part.

@@ -11,8 +11,10 @@ singular values of a matrix are cut at ``rank_rel`` times the largest one,
 while defects and intersections are decided on a squared scale by one
 function, which cuts the eigenvalues of I - X*X; an intersection is the
 adjoint defect decision of G = W_S* W_O, whose eigenvalues are squared
-sines of principal angles.  Every approximate comparison goes through one
-absolute tolerance (``Tolerance.eq_abs``).
+sines of principal angles.  Block Krylov bases and intersections with the
+complement of a span make the same squared-scale cut on squared singular
+values.  Every approximate comparison goes through one absolute tolerance
+(``Tolerance.eq_abs``).
 """
 
 from __future__ import annotations
@@ -233,8 +235,14 @@ def _defect_decision(x: np.ndarray, tol: Tolerance, adjoint: bool):
     w, v = np.linalg.eigh(h)
     lowest = w.min(axis=-1, initial=0.0)
     w = np.clip(w, 0.0, None)
-    keep = w > tol.rank_rel * np.maximum(1.0, w[..., -1:])
-    return w, v, keep, lowest
+    return w, v, _squared_keep(w, tol), lowest
+
+
+def _squared_keep(w: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """The squared-scale cut: the mask of the values of ``w`` (per matrix
+    of a stack, along the last axis), each a squared quantity in [0, 1] up
+    to rounding, that exceed rank_rel * max(1, largest)."""
+    return w > tol.rank_rel * np.maximum(1.0, w.max(axis=-1, initial=0.0, keepdims=True))
 
 
 def defect_stack(x: np.ndarray, tol: Tolerance = DEFAULT_TOL, adjoint: bool = False):
@@ -376,6 +384,59 @@ def subspace_intersect(u: Subspace, v: Subspace, tol: Tolerance = DEFAULT_TOL) -
     if k == d:
         return full_space(d)
     return Subspace(d, small.basis @ vecs[:, ~keep])
+
+
+def block_arnoldi(x: np.ndarray, start: np.ndarray,
+                  tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, list[int]]:
+    """Nested orthonormal bases of the block Krylov spaces
+    K_n = span{S, XS, ..., X^{n-1} S} of a contraction X and a matrix S with
+    orthonormal columns, completed to a unitary.
+
+    Returns ``(basis, dims)``: the first ``dims[n]`` columns of the d x d
+    ``basis`` span K_n, for n below ``len(dims)``; ``dims[0] = 0`` and the
+    last entry is the dimension of the whole Krylov space, which the
+    remaining columns complement.  Each new block is X times the newest
+    block, projected off the basis by two Gram-Schmidt passes; its thin SVD
+    keeps the left singular vectors whose squared singular values pass the
+    squared-scale cut of the defect decisions (the values are at most 1),
+    and the space is exhausted at the first empty block.
+    """
+    d = x.shape[0]
+    basis = np.empty((d, d), dtype=complex, order="F")  # columns filled block by block
+    dims = [0]
+    block = start
+    while block.shape[1]:
+        top = dims[-1] + block.shape[1]
+        basis[:, dims[-1]:top] = block
+        dims.append(top)
+        if top == d:
+            break
+        q = basis[:, :top]
+        z = x @ block
+        for _ in range(2):
+            z = z - q @ (adj(q) @ z)
+        u, s, _ = np.linalg.svd(z, full_matrices=False)
+        block = u[:, : np.count_nonzero(_squared_keep(s * s, tol))]
+    if dims[-1] < d:
+        basis[:, dims[-1]:] = Subspace(d, basis[:, : dims[-1]]).complement(tol).basis
+    return basis, dims
+
+
+def intersect_perp(u: Subspace, q: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+    """U /\\ (ran Q)^perp for a matrix Q with orthonormal columns.
+
+    With W the basis of U, the squared singular values of Y = W* Q are the
+    squared cosines of the principal angles between U and ran Q; the rank r
+    of Y is decided on them by the squared-scale cut of the defect
+    decisions, and the left singular vectors of Y past the first r give the
+    intersection as W U[:, r:].  The cost is one m x cols(Q) SVD with
+    m = dim U, and one product.
+    """
+    if u.dim == 0 or q.shape[1] == 0:
+        return u
+    vecs, s, _ = np.linalg.svd(adj(u.basis) @ q, full_matrices=True)
+    r = np.count_nonzero(_squared_keep(s * s, tol))
+    return u if r == 0 else Subspace(u.ambient_dim, u.basis @ vecs[:, r:])
 
 
 def projector(u: Subspace) -> np.ndarray:

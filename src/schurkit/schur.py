@@ -28,7 +28,6 @@ from .contractions import Contraction
 from .errors import (
     InvalidSequence,
     NotContraction,
-    NotSimpleConservative,
     RangeInclusionViolated,
     RankInconsistency,
     SchurkitError,
@@ -42,7 +41,9 @@ from .systems import (
     DiscreteSystem,
     PureSplit,
     SampledFunction,
+    SystemClassification,
     char_of_resolvent,
+    conservative_state,
     const_function,
     discrete_system,
     disk_grid,
@@ -362,20 +363,6 @@ def schur_oracle(theta: SampledFunction, n_max: int,
     return OracleChain(params, iterates, doms, codoms, breakdown)
 
 
-def _simple_conservative_state(sys: DiscreteSystem) -> Contraction:
-    """The state of ``sys`` as a :class:`Contraction` at the system's
-    tolerance, once ``sys`` is known to be simple conservative; the input
-    check reads the same Contraction."""
-    try:
-        state = Contraction(sys.a, sys.tol)
-        cls = sys.classify(state)
-    except NotContraction:  # the state of a conservative system is a contraction
-        cls = None
-    if not (cls and cls.conservative and cls.simple):
-        raise NotSimpleConservative("this construction requires a simple conservative system")
-    return state
-
-
 class _RealizationChain:
     """Closed-form Schur parameters and iterate blocks of one system.
 
@@ -396,7 +383,7 @@ class _RealizationChain:
     """
 
     def __init__(self, sys: DiscreteSystem):
-        self.state = _simple_conservative_state(sys)
+        self.state, self.classification = conservative_state(sys)
         self.sys = sys
         self.gammas: list[np.ndarray] = [sys.d.copy()]
         self.defects: list[DefectPair] = []
@@ -459,7 +446,8 @@ class _RealizationChain:
         if w_n0.shape[1] == 0:
             raise Terminated(f"H({n},0) is trivial; the algorithm terminated at step {n}")
         gamma = self.gammas[n]
-        bstar = self.m_chains[n] @ adj(self.sys.b) @ w_n0
+        # B of member k is W_k* A^k W_0 bstar*; the d x io factor is shared
+        lifted = w_n0 @ adj(self.m_chains[n] @ adj(self.sys.b) @ w_n0)
         systems = []
         for k in range(n + 1):
             w_nk = self.state.h_subspace(n - k, k).basis
@@ -468,7 +456,7 @@ class _RealizationChain:
                     f"dim H({n - k},{k}) = {w_nk.shape[1]} != dim H({n},0) = {w_n0.shape[1]}"
                 )
             c_blk = self.n_chains[n] @ self.sys.c @ self.state.power(n - k) @ w_nk
-            b_blk = adj(w_nk) @ self.state.power(k) @ w_n0 @ adj(bstar)
+            b_blk = adj(w_nk) @ (self.state.power(k) @ lifted)
             a_blk = adj(w_nk) @ self.sys.a @ w_nk
             systems.append(discrete_system(gamma, c_blk, b_blk, a_blk, self.sys.tol))
         return systems
@@ -492,7 +480,7 @@ def first_iterate_systems(sys: DiscreteSystem):
     state space; zeta1 and zeta2 realize Theta_1 on ker D_A* and ker D_A.
     """
     tol = sys.tol
-    state = _simple_conservative_state(sys)
+    state, _ = conservative_state(sys)
     if state.dim == 0:
         raise UnitaryTheta0("Theta(0) is unitary; there is no first iterate")
     gamma0 = sys.d
@@ -547,6 +535,7 @@ class SchurChain:
 
     source: DiscreteSystem
     state: Contraction  # the source state, whose lattice the chain reads
+    classification: SystemClassification  # of the source, made on the input check
     params: ChoiceSequence
     h_chain: list[Subspace]
     families: list[list[DiscreteSystem]]  # families[j] realizes iterate j+1
@@ -574,7 +563,8 @@ def build_chain(sys: DiscreteSystem, n_max: int | None = None) -> SchurChain:
         if chain.state.h_subspace(n, 0).dim == 0:
             break
         families.append(chain.family(n))
-    return SchurChain(sys, chain.state, chain.choice(), h_chain, families)
+    return SchurChain(sys, chain.state, chain.classification, chain.choice(), h_chain,
+                      families)
 
 
 def _lattice_intertwiner(chain: SchurChain, j: int, k: int) -> np.ndarray:

@@ -266,6 +266,25 @@ class DiscreteSystem:
         return cls.conservative and cls.simple
 
 
+def conservative_state(sys: DiscreteSystem, require_simple: bool = True):
+    """(state, classification) of a conservative system: its state as a
+    :class:`Contraction` at the system's tolerance, and the classification
+    that cross-checked the lattice of that Contraction.
+
+    Raises :class:`NotSimpleConservative` unless the system is conservative,
+    and simple when ``require_simple`` is set.
+    """
+    try:
+        state = Contraction(sys.a, sys.tol)
+        cls = sys.classify(state)
+    except NotContraction:  # the state of a conservative system is a contraction
+        cls = None
+    if not (cls and cls.conservative and (cls.simple or not require_simple)):
+        kind = "simple conservative" if require_simple else "conservative"
+        raise NotSimpleConservative(f"this construction requires a {kind} system")
+    return state, cls
+
+
 def _krylov_range(a: np.ndarray, b: np.ndarray, tol: Tolerance) -> Subspace:
     """Span of A^n B for n below the dimension of A; higher powers are
     redundant by Cayley-Hamilton."""
@@ -400,14 +419,13 @@ def defect_functions(sys: DiscreteSystem, require_simple: bool = True) -> Defect
     Omega* = (controllable)^perp (-) A* (controllable)^perp.
     phi vanishes iff the system is observable, psi iff controllable.
     ``require_simple=False`` evaluates the same formulas on a conservative
-    system with a non-simple part, for diagnostic use.
+    system with a non-simple part, for diagnostic use.  The complements are
+    H(d, 0) and H(0, d) of the state's lattice, which the classification
+    has just cross-checked against the Krylov ranges.
     """
-    cls = sys.classify()
-    if not cls.conservative or (require_simple and not cls.simple):
-        raise NotSimpleConservative("defect functions need a simple conservative system")
-    tol = sys.tol
-    obs_perp = sys.observable_subspace().complement(tol)
-    ctrl_perp = sys.controllable_subspace().complement(tol)
+    state, _ = conservative_state(sys, require_simple)
+    tol, d = sys.tol, sys.state_dim
+    obs_perp, ctrl_perp = state.h_subspace(d, 0), state.h_subspace(0, d)
     omega = la.subspace_intersect(
         obs_perp, la.kernel_basis(adj(sys.a @ obs_perp.basis), tol), tol
     )

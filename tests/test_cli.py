@@ -7,6 +7,7 @@ from schurkit import serialize
 from schurkit.cli import main
 from schurkit.contractions import Contraction
 from schurkit.errors import SchurkitError
+from schurkit.systems import DiscreteSystem
 from conftest import permutation_colligation
 
 
@@ -73,7 +74,12 @@ def test_analyze_svd_count(tmp_path, monkeypatch):
     svd, calls = np.linalg.svd, []
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
     assert main(["analyze", "--input", str(path), "--output", str(tmp_path / "a.json")]) == 0
-    assert len(calls) == 10
+    assert len(calls) == 23
+    eigh, eigh_calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda *a, **k: eigh_calls.append(1) or eigh(*a, **k))
+    assert main(["analyze", "--input", str(path), "--output", str(tmp_path / "a.json")]) == 0
+    assert len(eigh_calls) == 34
 
 
 def test_schur_chain_output(tmp_path):
@@ -136,6 +142,20 @@ def test_verify_decomposes_the_source_state_once(system_path, tmp_path, monkeypa
     monkeypatch.setattr(Contraction, "__init__", counting_init)
     assert main(["verify", "--input", str(system_path), "--output", str(tmp_path / "r")]) == 0
     assert built.count(True) == 1
+
+
+def test_verify_classifies_the_source_once(tmp_path, monkeypatch, capsys):
+    # the report prints the classification that build_chain's input check made
+    path = tmp_path / "sys.json"
+    assert main(["random", "--seed", "1", "--state-dim", "8", "--io-dim", "1",
+                 "--output", str(path)]) == 0
+    expected = serialize.system_from_json(json.loads(path.read_text())).classify().as_dict()
+    classify, calls = DiscreteSystem.classify, []
+    monkeypatch.setattr(DiscreteSystem, "classify",
+                        lambda *a, **k: calls.append(1) or classify(*a, **k))
+    assert main(["verify", "--input", str(path)]) == 0
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out)["classification"] == expected
 
 
 def test_verify_rejects_corruption(system_path, tmp_path):

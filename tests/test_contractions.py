@@ -5,6 +5,7 @@ import schurkit.linalg as la
 from schurkit import Contraction
 from schurkit.errors import NotCNU, NotContraction
 from schurkit.linalg import adj
+from schurkit.systems import random_conservative_system
 from conftest import random_cnu, random_contraction_matrix
 
 NILPOTENT = Contraction([[0, 1], [0, 0]])
@@ -64,6 +65,112 @@ class TestCnu:
         restricted = adj(h1.basis) @ a.a @ h1.basis
         assert la.is_unitary(restricted)
         assert Contraction(adj(h0.basis) @ a.a @ h0.basis).is_cnu()
+
+
+def _stacked_power_cnu(a: Contraction) -> bool:
+    """c.n.u. test on the columns of {A*^k D_A, A^k D_A*}, k < dim: the
+    span is the whole space exactly when no unitary part remains."""
+    if a.dim == 0:
+        return True
+    cols = []
+    for k in range(a.dim):
+        p = np.linalg.matrix_power(a.a, k)
+        cols += [adj(p) @ a.d_a, p @ a.d_astar]
+    return la.range_basis(np.hstack(cols), a.tol).dim == a.dim
+
+
+def _direct_sum(a, b):
+    return np.block([[a, la.zeros(a.shape[0], b.shape[1])], [la.zeros(b.shape[0], a.shape[1]), b]])
+
+
+class TestCnuOnTheLattice:
+    """is_cnu reads dim H(dim, dim) = 0; the stacked powers are the reference."""
+
+    def test_random_contractions(self, rng):
+        for norm in (0.5, 0.95, 1.0):
+            for _ in range(3):
+                a = Contraction(random_contraction_matrix(rng, 5, 5, norm))
+                assert a.is_cnu() == _stacked_power_cnu(a)
+
+    def test_random_cnu_corners(self, rng):
+        for _ in range(3):
+            a = random_cnu(6, 2, rng)
+            assert a.is_cnu() and _stacked_power_cnu(a)
+
+    @pytest.mark.parametrize("name, expected", [
+        ("unitary", False), ("nilpotent", True), ("unitary summand", False), ("empty", True),
+    ])
+    def test_special_cases(self, rng, name, expected):
+        a = {
+            "unitary": lambda: Contraction(la.haar_unitary(3, rng)),
+            "nilpotent": lambda: NILPOTENT,
+            "unitary summand": lambda: Contraction(_direct_sum(
+                random_contraction_matrix(rng, 3, 3), la.haar_unitary(2, rng))),
+            "empty": lambda: Contraction(la.zeros(0, 0)),
+        }[name]()
+        assert a.is_cnu() == _stacked_power_cnu(a) == expected
+
+
+def _reference_lattice(a: Contraction, depth: int):
+    """H(i, k) for i + k <= depth by the power route: the kernels of
+    D_{A^i} and D_{A*^k} from one defect decision each, intersected."""
+    obs, ctrl = [], []
+    for n in range(depth + 1):
+        p = np.linalg.matrix_power(a.a, n)
+        obs.append(la.defect_of(p, a.tol).kernel)
+        ctrl.append(la.defect_of(p, a.tol, adjoint=True).kernel)
+    return {
+        (i, k): obs[i] if k == 0 else ctrl[k] if i == 0
+        else la.subspace_intersect(obs[i], ctrl[k], a.tol)
+        for i in range(depth + 1) for k in range(depth + 1 - i)
+    }
+
+
+def _assert_lattice_matches_reference(a: Contraction, depth: int):
+    for key, ref in _reference_lattice(a, depth).items():
+        got = a.h_subspace(*key)
+        assert got.dim == ref.dim, key
+        assert la.matnorm_diff(got.projector(), ref.projector()) <= 1e-10, key
+
+
+class TestArnoldiLattice:
+    """The lattice from the two block-Arnoldi bases against the power route."""
+
+    @pytest.mark.parametrize("state_dim, io_dim", [
+        (6, 1), (8, 1), (10, 1), (16, 2), (40, 2), (48, 3), (40, 4),
+    ])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bench_sizes(self, state_dim, io_dim, seed):
+        sys = random_conservative_system(state_dim, io_dim, np.random.default_rng(seed))
+        _assert_lattice_matches_reference(Contraction(sys.a, sys.tol), -(-state_dim // io_dim) + 1)
+
+    @pytest.mark.parametrize("state_dim, io_dim", [(3, 5), (2, 4), (1, 3)])
+    def test_io_above_state(self, state_dim, io_dim):
+        for seed in range(3):
+            sys = random_conservative_system(state_dim, io_dim, np.random.default_rng(seed))
+            _assert_lattice_matches_reference(Contraction(sys.a, sys.tol), state_dim + 1)
+
+    def test_zero_dimensional_state(self):
+        a = Contraction(la.zeros(0, 0))
+        for key in ((0, 0), (1, 0), (0, 1), (2, 3)):
+            assert a.h_subspace(*key).basis.shape == (0, 0)
+
+    def test_general_contractions(self, rng):
+        # not the state of a conservative system: strict, touching the unit
+        # circle, with a unitary summand, unitary, and nilpotent
+        cases = [random_contraction_matrix(rng, 6, 6, norm) for norm in (0.5, 0.95, 1.0)]
+        cases += [_direct_sum(random_contraction_matrix(rng, 4, 4), la.haar_unitary(2, rng)),
+                  la.haar_unitary(4, rng), NILPOTENT.a, np.diag([0.0, 0.0, 0.3])]
+        for m in cases:
+            _assert_lattice_matches_reference(Contraction(m), m.shape[0] + 1)
+
+    def test_edges_are_nested_contiguous_slices(self, rng):
+        a = random_cnu(8, 2, rng)
+        for star in (False, True):
+            bases = [a.h_subspace(*((0, n) if star else (n, 0))).basis for n in range(1, 6)]
+            assert all(b.flags.c_contiguous for b in bases)
+            for outer, inner in zip(bases, bases[1:]):
+                assert np.array_equal(outer[:, outer.shape[1] - inner.shape[1]:], inner)
 
 
 class TestHSubspace:

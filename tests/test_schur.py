@@ -746,6 +746,18 @@ class TestTermination:
         assert all(s.tol is sys.tol for family in chain.families for s in family)
 
 
+    def test_lattice_makes_no_eigendecomposition(self, monkeypatch):
+        # the lattice is two block-Arnoldi bases and one SVD per inner
+        # entry: the eigh calls left are the Contraction's own defect pair
+        # and the defect pair of each of the 20 non-terminal parameters
+        sys = random_conservative_system(40, 2, np.random.default_rng(3))
+        eigh, calls = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+        chain = build_chain(sys)
+        assert chain.termination_step == 20
+        assert len(calls) == 42
+
+
 def _sigma_blocks(a: Contraction):
     u = a.defect_a.basis
     v = a.defect_astar.basis

@@ -144,7 +144,12 @@ class TestClassify:
         svd, calls = np.linalg.svd, []
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
         assert sys.classify().simple
-        assert len(calls) == 9
+        assert len(calls) == 23
+        eigh, eigh_calls = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda *a, **k: eigh_calls.append(1) or eigh(*a, **k))
+        assert sys.classify().simple
+        assert len(eigh_calls) == 2
 
 
 class TestCharFunction:
@@ -302,6 +307,52 @@ class TestDefectFunctions:
         assert funcs.omega.dim == 0
         for lam in GRID[:5]:
             assert la.opnorm(funcs.phi(lam)) <= 1e-12
+
+
+def _unobservable_extension(rng):
+    """The square colligation with an uncoupled unitary state block:
+    conservative, not simple."""
+    base = permutation_colligation()
+    a = np.block([[base.a, la.zeros(2, 1)], [la.zeros(1, 2), la.haar_unitary(1, rng)]])
+    return discrete_system(base.d, np.hstack([base.c, la.zeros(1, 1)]),
+                           np.vstack([base.b, la.zeros(1, 1)]), a)
+
+
+class TestDefectFunctionsFromTheLattice:
+    """The complements come from the lattice the classification checked."""
+
+    def test_ranges_are_built_once(self, monkeypatch):
+        sys = random_conservative_system(8, 1, np.random.default_rng(1))
+        range_basis, calls = la.range_basis, []
+        monkeypatch.setattr(la, "range_basis",
+                            lambda *a, **k: calls.append(1) or range_basis(*a, **k))
+        defect_functions(sys)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("simple", [True, False])
+    def test_basis_free_outputs_match_the_krylov_route(self, rng, simple):
+        # reference: complements of the Krylov ranges, then the same formulas
+        if simple:
+            sys = random_conservative_system(8, 1, np.random.default_rng(1))
+        else:
+            sys = _unobservable_extension(rng)
+        tol = sys.tol
+        funcs = defect_functions(sys, require_simple=simple)
+        obs_perp = sys.observable_subspace().complement(tol)
+        ctrl_perp = sys.controllable_subspace().complement(tol)
+        omega = la.subspace_intersect(
+            obs_perp, la.kernel_basis(adj(sys.a @ obs_perp.basis), tol), tol)
+        omega_star = la.subspace_intersect(
+            ctrl_perp, la.kernel_basis(adj(adj(sys.a) @ ctrl_perp.basis), tol), tol)
+        for got, ref in ((funcs.omega, omega), (funcs.omega_star, omega_star)):
+            assert la.matnorm_diff(got.projector(), ref.projector()) <= 1e-12
+        pts = np.asarray(GRID)
+        resolvent = np.linalg.inv(np.eye(sys.state_dim) - pts[:, None, None] * sys.a)
+        phi = adj(omega.basis) @ resolvent @ sys.b
+        psi = sys.c @ resolvent @ omega_star.basis
+        got_phi, got_psi = funcs.phi.on(pts), funcs.psi.on(pts)
+        assert la.stack_matnorm_diff(adj(got_phi) @ got_phi, adj(phi) @ phi) <= 1e-12
+        assert la.stack_matnorm_diff(got_psi @ adj(got_psi), psi @ adj(psi)) <= 1e-12
 
 
 class TestUnitarilySimilar:
