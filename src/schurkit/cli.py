@@ -21,7 +21,7 @@ from .contractions import Contraction
 from .errors import NotCNU, SchurkitError
 from .linalg import Tolerance
 from .schur import CHAIN_THRESHOLDS, build_chain, verify_chain
-from .systems import DiscreteSystem, disk_grid, random_conservative_system
+from .systems import DiscreteSystem, _draw_simple_conservative, disk_grid
 
 EXIT_OK = 0
 EXIT_RESIDUAL = 1
@@ -74,9 +74,8 @@ def _emit(ns: argparse.Namespace, text: str):
 
 
 def _state_of(sys: DiscreteSystem) -> Contraction | None:
-    """One Contraction of the state, shared by the classification and the
-    defect profile; None for a zero-dimensional state.  ``verify`` reads
-    the chain's own instead."""
+    """A Contraction of the state for the defect profile; None for a
+    zero-dimensional state.  ``verify`` reads the chain's own instead."""
     return Contraction(sys.a, sys.tol) if sys.state_dim else None
 
 
@@ -110,12 +109,11 @@ def _chain_json(chain, report) -> dict:
 
 def _run_analyze(ns: argparse.Namespace) -> int:
     system = _load_system(ns)
-    state = _state_of(system)
     out = {
         "dims": {"input": system.in_dim, "output": system.out_dim,
                  "state": system.state_dim},
-        "classification": system.classify(state).as_dict(),
-        "defect_profile": _defect_profile_json(state, ns.n_max),
+        "classification": system.classify().as_dict(),
+        "defect_profile": _defect_profile_json(_state_of(system), ns.n_max),
     }
     _emit(ns, serialize.dumps(out))
     return EXIT_OK
@@ -187,12 +185,8 @@ def _run_sample(ns: argparse.Namespace) -> int:
 
 def _run_random(ns: argparse.Namespace) -> int:
     rng = np.random.default_rng(ns.seed)
-    system = random_conservative_system(
-        ns.state_dim, ns.io_dim, rng, _tolerance(ns)
-    )
-    _emit(ns, serialize.dumps(
-        serialize.system_to_json(system, system.classify().as_dict())
-    ))
+    system, cls = _draw_simple_conservative(ns.state_dim, ns.io_dim, rng, _tolerance(ns))
+    _emit(ns, serialize.dumps(serialize.system_to_json(system, cls.as_dict())))
     return EXIT_OK
 
 

@@ -389,8 +389,8 @@ def subspace_intersect(u: Subspace, v: Subspace, tol: Tolerance = DEFAULT_TOL) -
 def block_arnoldi(x: np.ndarray, start: np.ndarray,
                   tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, list[int]]:
     """Nested orthonormal bases of the block Krylov spaces
-    K_n = span{S, XS, ..., X^{n-1} S} of a contraction X and a matrix S with
-    orthonormal columns, completed to a unitary.
+    K_n = span{S, XS, ..., X^{n-1} S} of a square matrix X and a matrix S
+    with orthonormal columns, completed to a unitary.
 
     Returns ``(basis, dims)``: the first ``dims[n]`` columns of the d x d
     ``basis`` span K_n, for n below ``len(dims)``; ``dims[0] = 0`` and the
@@ -398,8 +398,10 @@ def block_arnoldi(x: np.ndarray, start: np.ndarray,
     remaining columns complement.  Each new block is X times the newest
     block, projected off the basis by two Gram-Schmidt passes; its thin SVD
     keeps the left singular vectors whose squared singular values pass the
-    squared-scale cut of the defect decisions (the values are at most 1),
-    and the space is exhausted at the first empty block.
+    squared-scale cut of the defect decisions (the values are at most 1
+    when X is a contraction, as in the lattice), and the space is exhausted
+    at the first empty block.
+    Each block takes one factor of X, so no power of X is formed.
     """
     d = x.shape[0]
     basis = np.empty((d, d), dtype=complex, order="F")  # columns filled block by block

@@ -102,8 +102,9 @@ class _DividedEvaluator:
     when dividing, the Cauchy mean over the quadrature circle, computed once.
     The evaluator keeps the stack of the last point array it evaluated, so
     a chain of iterates sampled level by level on one grid samples each
-    level once; points that are all 0 are answered from the value at 0 and
-    leave the kept stack in place.
+    level once.  The circle is such a grid: the value at 0 samples it
+    through the evaluator, and the next level's value at 0 reads the kept
+    stack.  Points that are all 0 are answered from the value at 0.
     """
 
     def __init__(self, theta: SampledFunction, gamma: np.ndarray, tol: Tolerance,
@@ -128,7 +129,7 @@ class _DividedEvaluator:
     def _value_at_zero(self) -> np.ndarray:
         if self.at_zero is None:
             if self.divide:
-                circle = self._core(_LIMIT_CIRCLE, self.theta.on(_LIMIT_CIRCLE))
+                circle = self(_LIMIT_CIRCLE)
                 # a running sum in point order; a pairwise sum (np.mean)
                 # changes the last bits, which deep iterates amplify
                 self.at_zero = circle.cumsum(axis=0)[-1] / _LIMIT_POINTS

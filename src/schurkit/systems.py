@@ -228,14 +228,16 @@ class DiscreteSystem:
         """Span of A*^n C* for n below the state dimension."""
         return _krylov_range(adj(self.a), adj(self.c), self.tol)
 
-    def classify(self, state: Contraction | None = None) -> SystemClassification:
+    def classify(self) -> SystemClassification:
         """Classification flags; conservative systems are cross-checked
         against the defect-kernel characterization of the controllable and
         observable complements.
 
-        ``state``, a Contraction of this system's state matrix at the
-        system's tolerance, supplies those kernels; one is built when it is
-        not given.
+        In a conservative colligation D_A*^2 = BB* and D_A^2 = C*C, so
+        ker D_{A*^d} and ker D_{A^d} are the complements of K(A, B) and
+        K(A*, C*).  The Krylov ranges come from a block Arnoldi iteration;
+        the kernels from the eigendecompositions of I - A^d A^d* and
+        I - A^d* A^d, a second, independent route.
         """
         full = self.colligation()
         passive = la.is_contraction(full, self.tol)
@@ -250,11 +252,11 @@ class DiscreteSystem:
         joint = la.range_basis(np.hstack([ctrl.basis, obs.basis]), self.tol)
         simple = joint.dim == d
         if conservative and d > 0:
-            if state is None or state.tol != self.tol:
-                state = Contraction(self.a, self.tol)
+            power = np.linalg.matrix_power(self.a, d)
             # I - P projects onto the complement; no basis of it is needed
-            for span, kernels in ((ctrl, state.h_subspace(0, d)), (obs, state.h_subspace(d, 0))):
-                if la.matnorm_diff(la.eye(d) - span.projector(), kernels.projector()) > 1e-7:
+            for span, adjoint in ((ctrl, True), (obs, False)):
+                kernel = la.defect_of(power, self.tol, adjoint=adjoint).kernel
+                if la.matnorm_diff(la.eye(d) - span.projector(), kernel.projector()) > 1e-7:
                     raise RankInconsistency("Krylov and defect-kernel characterizations disagree")
         return SystemClassification(
             passive, isometric, coisometric, conservative,
@@ -268,15 +270,14 @@ class DiscreteSystem:
 
 def conservative_state(sys: DiscreteSystem, require_simple: bool = True):
     """(state, classification) of a conservative system: its state as a
-    :class:`Contraction` at the system's tolerance, and the classification
-    that cross-checked the lattice of that Contraction.
+    :class:`Contraction` at the system's tolerance, and its classification.
 
     Raises :class:`NotSimpleConservative` unless the system is conservative,
     and simple when ``require_simple`` is set.
     """
     try:
         state = Contraction(sys.a, sys.tol)
-        cls = sys.classify(state)
+        cls = sys.classify()
     except NotContraction:  # the state of a conservative system is a contraction
         cls = None
     if not (cls and cls.conservative and (cls.simple or not require_simple)):
@@ -286,16 +287,11 @@ def conservative_state(sys: DiscreteSystem, require_simple: bool = True):
 
 
 def _krylov_range(a: np.ndarray, b: np.ndarray, tol: Tolerance) -> Subspace:
-    """Span of A^n B for n below the dimension of A; higher powers are
-    redundant by Cayley-Hamilton."""
-    d = a.shape[0]
-    if d == 0:
-        return la.trivial_space(0)
-    blocks, power = [], la.eye(d)
-    for _ in range(d):
-        blocks.append(power @ b)
-        power = a @ power
-    return la.range_basis(np.hstack(blocks), tol)
+    """Span of A^n B over all n: the leading columns of the block-Arnoldi
+    basis of K(A, ran B), which takes one factor of A per block, so no
+    power of A is formed."""
+    basis, dims = la.block_arnoldi(a, la.range_basis(b, tol).basis, tol)
+    return Subspace(a.shape[0], basis[:, : dims[-1]])
 
 
 def discrete_system(d, c, b, a, tol: Tolerance = DEFAULT_TOL) -> DiscreteSystem:
@@ -420,18 +416,16 @@ def defect_functions(sys: DiscreteSystem, require_simple: bool = True) -> Defect
     phi vanishes iff the system is observable, psi iff controllable.
     ``require_simple=False`` evaluates the same formulas on a conservative
     system with a non-simple part, for diagnostic use.  The complements are
-    H(d, 0) and H(0, d) of the state's lattice, which the classification
-    has just cross-checked against the Krylov ranges.
+    H(d, 0) and H(0, d) of the state's lattice.  A is isometric on
+    H(d, 0), which lies in ker D_A, and A* on H(0, d), so A W and A* W' have
+    orthonormal columns for the bases W, W' of the two, and each subspace
+    is one :func:`~schurkit.linalg.intersect_perp`.
     """
     state, _ = conservative_state(sys, require_simple)
-    tol, d = sys.tol, sys.state_dim
+    d = sys.state_dim
     obs_perp, ctrl_perp = state.h_subspace(d, 0), state.h_subspace(0, d)
-    omega = la.subspace_intersect(
-        obs_perp, la.kernel_basis(adj(sys.a @ obs_perp.basis), tol), tol
-    )
-    omega_star = la.subspace_intersect(
-        ctrl_perp, la.kernel_basis(adj(adj(sys.a) @ ctrl_perp.basis), tol), tol
-    )
+    omega = la.intersect_perp(obs_perp, sys.a @ obs_perp.basis, sys.tol)
+    omega_star = la.intersect_perp(ctrl_perp, adj(sys.a) @ ctrl_perp.basis, sys.tol)
 
     def phi_eval(pts: np.ndarray) -> np.ndarray:
         return adj(omega.basis) @ resolvent_stack(sys.a, sys.b, pts)
@@ -510,12 +504,21 @@ def random_conservative_system(
     tol: Tolerance = DEFAULT_TOL,
 ) -> DiscreteSystem:
     """Haar-random unitary colligation, rejection-sampled to be simple."""
+    return _draw_simple_conservative(state_dim, io_dim, rng, tol)[0]
+
+
+def _draw_simple_conservative(
+    state_dim: int, io_dim: int, rng: np.random.Generator, tol: Tolerance
+) -> tuple[DiscreteSystem, SystemClassification]:
+    """The draw of :func:`random_conservative_system`, with the
+    classification that accepted it."""
     for _ in range(_MAX_DRAWS):
         u = la.haar_unitary(io_dim + state_dim, rng)
         sys = discrete_system(
             u[:io_dim, :io_dim], u[:io_dim, io_dim:], u[io_dim:, :io_dim], u[io_dim:, io_dim:],
             tol,
         )
-        if sys.is_simple_conservative():
-            return sys
+        cls = sys.classify()
+        if cls.conservative and cls.simple:
+            return sys, cls
     raise RuntimeError("failed to draw a simple conservative system")

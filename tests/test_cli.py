@@ -66,20 +66,21 @@ def test_analyze_unitary_without_inputs(tmp_path):
 
 
 def test_analyze_svd_count(tmp_path, monkeypatch):
-    # the defect profile decides c.n.u. once, and the classification checks
-    # the complements without a complement basis each
+    # the defect profile decides c.n.u. once on the lattice, and the
+    # classification builds its own two Krylov ranges and checks their
+    # complements against two power kernels, without a complement basis
     path = tmp_path / "sys.json"
     assert main(["random", "--seed", "1", "--state-dim", "16", "--io-dim", "2",
                  "--output", str(path)]) == 0
     svd, calls = np.linalg.svd, []
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
     assert main(["analyze", "--input", str(path), "--output", str(tmp_path / "a.json")]) == 0
-    assert len(calls) == 23
+    assert len(calls) == 37
     eigh, eigh_calls = np.linalg.eigh, []
     monkeypatch.setattr(np.linalg, "eigh",
                         lambda *a, **k: eigh_calls.append(1) or eigh(*a, **k))
     assert main(["analyze", "--input", str(path), "--output", str(tmp_path / "a.json")]) == 0
-    assert len(eigh_calls) == 34
+    assert len(eigh_calls) == 36
 
 
 def test_schur_chain_output(tmp_path):
@@ -156,6 +157,29 @@ def test_verify_classifies_the_source_once(tmp_path, monkeypatch, capsys):
     assert main(["verify", "--input", str(path)]) == 0
     assert len(calls) == 1
     assert json.loads(capsys.readouterr().out)["classification"] == expected
+
+
+def test_random_classifies_once(monkeypatch, capsys):
+    # the JSON carries the classification that accepted the draw
+    classify, calls = DiscreteSystem.classify, []
+    monkeypatch.setattr(DiscreteSystem, "classify",
+                        lambda *a, **k: calls.append(1) or classify(*a, **k))
+    assert main(["random", "--seed", "1", "--state-dim", "8", "--io-dim", "1"]) == 0
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out)["classification"]["simple"]
+
+
+def test_realize_builds_one_contraction(tmp_path, monkeypatch):
+    # the member classifications check their Krylov ranges against power
+    # kernels, so only the source's chain builds a lattice
+    path = tmp_path / "sys.json"
+    assert main(["random", "--seed", "1", "--state-dim", "8", "--io-dim", "1",
+                 "--output", str(path)]) == 0
+    init, built = Contraction.__init__, []
+    monkeypatch.setattr(Contraction, "__init__",
+                        lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    assert main(["realize", "--input", str(path), "--output", str(tmp_path / "r.json")]) == 0
+    assert len(built) == 1
 
 
 def test_verify_rejects_corruption(system_path, tmp_path):

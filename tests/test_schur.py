@@ -85,6 +85,19 @@ class TestOracleStep:
         assert np.allclose(got, [0, 0, 1], atol=1e-9)
         assert chain.params.terminated
 
+    @pytest.mark.parametrize("state_dim, io_dim", [(10, 1), (40, 4)])
+    def test_each_level_samples_its_circle_once(self, monkeypatch, state_dim, io_dim):
+        # a level's value at 0 samples the quadrature circle through the
+        # evaluator, which keeps the stack, and the next level reads it back
+        sys = random_conservative_system(state_dim, io_dim, np.random.default_rng(3))
+        core, calls = schur_mod._DividedEvaluator._core, []
+        monkeypatch.setattr(schur_mod._DividedEvaluator, "_core",
+                            lambda self, *a: calls.append(1) or core(self, *a))
+        chain = schur_oracle(sys.sampled(), 10)
+        levels = len(chain.iterates) - 1
+        assert levels == 10
+        assert len(calls) == levels
+
 
 class TestMoebiusParameter:
     def test_constant_gives_zero(self):
@@ -536,7 +549,9 @@ class TestVerifyChain:
         # each family's members are factored once per point: the transfer
         # functions and the characteristic functions share one solve, and
         # the state norm takes no SVD of its own.  ``solves`` and ``svds``
-        # are the counts when both were made per family
+        # are the counts when both were made per family and the oracle
+        # sampled each level's quadrature circle twice, one solve more per
+        # level past the source
         chain = build_chain(random_conservative_system(state_dim, io_dim,
                                                        np.random.default_rng(seed)))
         counts = {"solve": 0, "svd": 0}
@@ -549,8 +564,8 @@ class TestVerifyChain:
 
             monkeypatch.setattr(np.linalg, name, counting)
         assert verify_chain(chain).ok
-        families = len(chain.families)
-        assert counts == {"solve": solves - families, "svd": svds - families}
+        families, levels = len(chain.families), len(chain.params) - 1
+        assert counts == {"solve": solves - families - levels, "svd": svds - families}
 
     def test_member_with_other_io_dims_is_reported(self):
         # member 0 of family 1 replaced by a system on the same state space
@@ -748,14 +763,15 @@ class TestTermination:
 
     def test_lattice_makes_no_eigendecomposition(self, monkeypatch):
         # the lattice is two block-Arnoldi bases and one SVD per inner
-        # entry: the eigh calls left are the Contraction's own defect pair
-        # and the defect pair of each of the 20 non-terminal parameters
+        # entry: the eigh calls left are the classification's two power
+        # kernels, the Contraction's own defect pair and the defect pair of
+        # each of the 20 non-terminal parameters
         sys = random_conservative_system(40, 2, np.random.default_rng(3))
         eigh, calls = np.linalg.eigh, []
         monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
         chain = build_chain(sys)
         assert chain.termination_step == 20
-        assert len(calls) == 42
+        assert len(calls) == 44
 
 
 def _sigma_blocks(a: Contraction):

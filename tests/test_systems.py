@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import schurkit.linalg as la
+from schurkit import systems
 from schurkit import (
     Contraction,
     char_colligation,
@@ -19,6 +20,7 @@ from schurkit.errors import (
     DimMismatch,
     NotSimpleConservative,
     OutsideDisk,
+    RankInconsistency,
     ShapeMismatch,
 )
 from schurkit.linalg import adj
@@ -139,17 +141,83 @@ class TestClassify:
 
     def test_classify_svd_count(self, monkeypatch):
         # the complements are checked as I - P against the power kernels,
-        # without a complement basis each
+        # without a complement basis each; the SVDs are the three colligation
+        # norms, the start and the blocks of both Arnoldi iterations, the
+        # joint range and the two projector distances
         sys = random_conservative_system(16, 2, np.random.default_rng(1))
         svd, calls = np.linalg.svd, []
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
         assert sys.classify().simple
-        assert len(calls) == 23
+        assert len(calls) == 22
         eigh, eigh_calls = np.linalg.eigh, []
         monkeypatch.setattr(np.linalg, "eigh",
                             lambda *a, **k: eigh_calls.append(1) or eigh(*a, **k))
         assert sys.classify().simple
         assert len(eigh_calls) == 2
+
+
+_FLAGS = ("controllable", "observable", "simple", "minimal")
+
+
+def _stacked_power_flags(sys) -> dict:
+    """The Krylov flags from the range of the stacked powers
+    [B, AB, ..., A^{d-1} B] and [C*, A*C*, ...]: the reference route."""
+    d, tol = sys.state_dim, sys.tol
+
+    def span(a, b):
+        if d == 0:
+            return la.trivial_space(0)
+        return la.range_basis(np.hstack([np.linalg.matrix_power(a, k) @ b for k in range(d)]),
+                              tol)
+
+    ctrl, obs = span(sys.a, sys.b), span(adj(sys.a), adj(sys.c))
+    simple = la.range_basis(np.hstack([ctrl.basis, obs.basis]), tol).dim == d
+    controllable, observable = ctrl.dim == d, obs.dim == d
+    return {"controllable": controllable, "observable": observable, "simple": simple,
+            "minimal": controllable and observable}
+
+
+class TestClassifyKrylovRoute:
+    """Krylov ranges from the block Arnoldi, checked against power kernels."""
+
+    @pytest.mark.parametrize("state_dim, io_dim, seed", [
+        (d, io, seed)
+        for d, io in ((6, 1), (8, 1), (10, 1), (16, 2), (40, 2), (40, 4), (48, 3))
+        for seed in range(3)
+    ] + [(3, 5, 0), (3, 5, 1), (0, 2, 0), (1, 1, 0)])
+    def test_flags_match_the_stacked_powers(self, state_dim, io_dim, seed):
+        sys = random_conservative_system(state_dim, io_dim, np.random.default_rng(seed))
+        cls = sys.classify().as_dict()
+        assert {k: cls[k] for k in _FLAGS} == _stacked_power_flags(sys)
+
+    def test_unitary_summand_matches_the_stacked_powers(self, rng):
+        sys = _unobservable_extension(rng)
+        cls = sys.classify().as_dict()
+        assert cls["conservative"] and not cls["simple"]
+        assert {k: cls[k] for k in _FLAGS} == _stacked_power_flags(sys)
+
+    def test_lost_krylov_direction_raises(self, monkeypatch):
+        sys = random_conservative_system(6, 1, np.random.default_rng(0))
+        krylov = systems._krylov_range
+
+        def short(a, b, tol):
+            span = krylov(a, b, tol)
+            return la.Subspace(span.ambient_dim, span.basis[:, :-1])
+
+        monkeypatch.setattr(systems, "_krylov_range", short)
+        with pytest.raises(RankInconsistency):
+            sys.classify()
+
+    def test_flags_do_not_depend_on_the_scale_of_the_state(self, rng):
+        # K(cA, B) = K(A, B): each Arnoldi block takes one factor of cA, so
+        # a small state matrix loses no direction to the rank cut
+        for d, io in ((6, 1), (8, 2)):
+            feed, c, b, a = (random_matrix(rng, r, k)
+                             for r, k in ((io, io), (io, d), (d, io), (d, d)))
+            flags = [discrete_system(feed, c, b, scale * a).classify().as_dict()
+                     for scale in (1.0, 1e-3)]
+            assert flags[0]["minimal"]
+            assert {k: flags[1][k] for k in _FLAGS} == {k: flags[0][k] for k in _FLAGS}
 
 
 class TestCharFunction:
