@@ -39,9 +39,7 @@ from .linalg import (
     kernel_basis,
     matrix_from_json,
     matrix_to_json,
-    pinv,
     projector,
-    psd_sqrt,
     range_basis,
     subspace_eq,
     subspace_intersect,

@@ -5,10 +5,6 @@ class SchurkitError(Exception):
     """Base class for all toolkit errors."""
 
 
-class NotHermitian(SchurkitError):
-    """Matrix expected to be Hermitian is not, beyond tolerance."""
-
-
 class IndefiniteBeyondTolerance(SchurkitError):
     """Matrix expected to be PSD has an eigenvalue below -eq_abs."""
 

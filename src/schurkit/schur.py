@@ -641,9 +641,11 @@ def verify_chain(chain: SchurChain, grid=None) -> ChainReport:
 
     Each family is checked as stacks of its members, one stack per state
     dimension (one in every correct chain), so that each kind of work is
-    one stacked numpy call; the similarities stay per pair.  The transfer
-    function of a member and the characteristic function of its state
-    share one solve of I - lambda A per point.  A member whose
+    one stacked numpy call: one spectral-norm kernel call gives each
+    member's unitarity and the colligation norms of the pure_char check,
+    and one intertwining_residual call certifies the pairs of the stack.
+    The transfer function of a member and the characteristic function of
+    its state share one solve of I - lambda A per point.  A member whose
     state dimension differs from its neighbours' is reported, not raised:
     the similarities that pair it are inf.  So is a member whose input or
     output dimension differs from the iterate's: its transfer_oracle,
@@ -685,11 +687,7 @@ def verify_chain(chain: SchurChain, grid=None) -> ChainReport:
                 for n in range(n_bases)]
     for n in range(min(len(seq), n_bases, len(oracle.params))):
         omega, psi = aligners[n]
-        align = max(
-            la.matnorm_diff(adj(omega) @ omega, la.eye(omega.shape[1])),
-            la.matnorm_diff(adj(psi) @ psi, la.eye(psi.shape[1])),
-        )
-        report.add("alignment", str(n), align)
+        report.add("alignment", str(n), max(la._isometry_gap(omega), la._isometry_gap(psi)))
         report.add(
             "gamma", str(n),
             la.matnorm_diff(seq.gammas[n], psi @ oracle.params.gammas[n] @ adj(omega)),
@@ -707,15 +705,34 @@ def verify_chain(chain: SchurChain, grid=None) -> ChainReport:
         except SchurkitError:
             split = None
         fits = np.array([(s.out_dim, s.in_dim) == aligned.shape[1:] for s in family])
+        intertwiners = [_lattice_intertwiner(chain, idx, k) for k in range(len(family) - 1)]
         unitarity = np.empty(len(family))
         pure = np.full(len(family), np.inf)
+        similarity = np.full(len(intertwiners), np.inf)
+        certified = np.zeros(len(intertwiners), dtype=bool)
         transfers = np.zeros((len(family),) + aligned.shape, dtype=complex)
         for members, blocks in _state_groups(family):
-            colligations = assemble_blocks(*blocks)
-            unitarity[members] = la.unitarity_residual(colligations)
+            norms, iso_gap, coiso_gap = la._norm_and_gaps(assemble_blocks(*blocks))
+            unitarity[members] = np.maximum(iso_gap, coiso_gap)
             if fits[members[0]]:
                 transfers[members], pure[members] = _pure_char_residual(
-                    blocks, colligations, split, aligned, pts, tol)
+                    blocks, norms, split, aligned, pts, tol)
+            # the pairs (k, k+1) of this group whose intertwiner maps its state
+            # space to itself, as positions i of k in the group
+            firsts = np.array([i for i in range(len(members) - 1)
+                               if members[i + 1] == members[i] + 1
+                               and intertwiners[members[i]].shape == blocks[3].shape[1:]],
+                              dtype=int)
+            if firsts.size:
+                ks = members[firsts]
+                similarity[ks] = intertwining_residual(
+                    tuple(x[firsts] for x in blocks), tuple(x[firsts + 1] for x in blocks),
+                    np.array([intertwiners[k] for k in ks]))
+                certified[ks] = True
+        for k in np.flatnonzero(~certified):
+            u = intertwiners[k]
+            if u.shape == (family[k + 1].state_dim, family[k].state_dim):
+                similarity[k] = intertwining_residual(family[k], family[k + 1], u)
         to_oracle = grid_distance(transfers, np.broadcast_to(aligned, transfers.shape), pts)
         to_oracle[~fits] = np.inf
         for k in range(len(family)):
@@ -726,12 +743,7 @@ def verify_chain(chain: SchurChain, grid=None) -> ChainReport:
         across_k[~(fits[:-1] & fits[1:])] = np.inf
         for k in range(len(family) - 1):
             report.add("transfer_across_k", f"{n},{k}", across_k[k])
-            u = _lattice_intertwiner(chain, idx, k)
-            report.add(
-                "similarity", f"{n},{k}",
-                intertwining_residual(family[k], family[k + 1], u)
-                if u.shape == (family[k + 1].state_dim, family[k].state_dim) else float("inf"),
-            )
+            report.add("similarity", f"{n},{k}", similarity[k])
     return report
 
 
@@ -753,14 +765,14 @@ def _state_groups(family: list[DiscreteSystem]):
                              for blk in "dcba")
 
 
-def _pure_char_residual(blocks, colligations: np.ndarray, split: PureSplit | None,
+def _pure_char_residual(blocks, norms: np.ndarray, split: PureSplit | None,
                         theta: np.ndarray, pts: np.ndarray, tol: Tolerance):
     """Transfer functions and pure_char residuals of a stack of family
     members whose io dimensions are the iterate's, from one solve of
     I - lambda A per member: returns (transfers, residuals).
 
-    ``blocks`` are the members' stacked (d, c, b, a) and ``colligations``
-    their [D C; B A]; ``theta`` is the iterate's stack on ``pts`` and
+    ``blocks`` are the members' stacked (d, c, b, a) and ``norms`` the
+    norms of their [D C; B A]; ``theta`` is the iterate's stack on ``pts`` and
     ``split`` its pure split at 0, None when that split failed.  The
     residual compares the pure part of the iterate with the characteristic
     function of A*, V* (-A* U + lambda D_A (I - lambda A)^{-1} D_A* U) with
@@ -783,7 +795,7 @@ def _pure_char_residual(blocks, colligations: np.ndarray, split: PureSplit | Non
     if split is not None:
         ep, fp = split.dom_pure.basis, split.cod_pure.basis
         target = adj(fp) @ theta @ ep
-        contractive = np.flatnonzero(la.opnorm(colligations) <= 1.0 + tol.eq_abs)
+        contractive = np.flatnonzero(norms <= 1.0 + tol.eq_abs)
         a_star = adj(a[contractive])
         # D_A* and D_A: the defect and the adjoint defect of A*
         op_as, pinv_as, vecs_as, keep_as, low_as = la.defect_stack(a_star, tol)

@@ -15,6 +15,7 @@ system, and searches for state-space unitary similarities.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
@@ -240,9 +241,10 @@ class DiscreteSystem:
         I - A^d* A^d, a second, independent route.
         """
         full = self.colligation()
-        passive = la.is_contraction(full, self.tol)
-        isometric = la.is_isometry(full, self.tol)
-        coisometric = la.is_coisometry(full, self.tol)
+        norm, iso_gap, coiso_gap = la._norm_and_gaps(full)
+        passive = norm <= 1.0 + self.tol.eq_abs
+        isometric = full.shape[1] <= full.shape[0] and iso_gap <= self.tol.eq_abs
+        coisometric = full.shape[0] <= full.shape[1] and coiso_gap <= self.tol.eq_abs
         conservative = isometric and coisometric
         d = self.state_dim
         ctrl = self.controllable_subspace()
@@ -442,13 +444,21 @@ def defect_functions(sys: DiscreteSystem, require_simple: bool = True) -> Defect
 
 
 def intertwining_residual(s1: DiscreteSystem, s2: DiscreteSystem, u: np.ndarray) -> float:
-    """Max residual of U A1 = A2 U, U B1 = B2, C1 = C2 U and unitarity of U."""
-    return max(
-        la.matnorm_diff(u @ s1.a, s2.a @ u),
-        la.matnorm_diff(u @ s1.b, s2.b),
-        la.matnorm_diff(s1.c, s2.c @ u),
+    """Max residual of U A1 = A2 U, U B1 = B2, C1 = C2 U and unitarity of U.
+
+    ``s1`` and ``s2`` are systems, or their (d, c, b, a) blocks stacked
+    along a leading pair axis, which ``u`` then shares: a stack gives one
+    residual per pair, bit for bit the one the pair's systems give.
+    """
+    (_, c1, b1, a1), (_, c2, b2, a2) = (
+        (s.d, s.c, s.b, s.a) if isinstance(s, DiscreteSystem) else s for s in (s1, s2))
+    worst = functools.reduce(np.maximum, (
+        la.matnorm_diff(u @ a1, a2 @ u),
+        la.matnorm_diff(u @ b1, b2),
+        la.matnorm_diff(c1, c2 @ u),
         la.unitarity_residual(u),
-    )
+    ))
+    return float(worst) if u.ndim == 2 else worst
 
 
 # Largest intertwining residual that certifies a unitary similarity.

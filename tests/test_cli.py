@@ -74,8 +74,12 @@ def test_analyze_svd_count(tmp_path, monkeypatch):
                  "--output", str(path)]) == 0
     svd, calls = np.linalg.svd, []
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    eigvalsh, eigvalsh_calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda *a, **k: eigvalsh_calls.append(1) or eigvalsh(*a, **k))
     assert main(["analyze", "--input", str(path), "--output", str(tmp_path / "a.json")]) == 0
-    assert len(calls) == 37
+    assert len(calls) == 31
+    assert len(eigvalsh_calls) == 4
     eigh, eigh_calls = np.linalg.eigh, []
     monkeypatch.setattr(np.linalg, "eigh",
                         lambda *a, **k: eigh_calls.append(1) or eigh(*a, **k))

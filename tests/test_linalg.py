@@ -2,67 +2,11 @@ import numpy as np
 import pytest
 
 import schurkit.linalg as la
-from schurkit.errors import AmbientMismatch, IndefiniteBeyondTolerance, NotHermitian
+from schurkit.errors import AmbientMismatch
 from schurkit.linalg import adj
 from conftest import random_matrix
 
 NIL = np.array([[0, 1], [0, 0]], dtype=complex)
-
-
-class TestPsdSqrt:
-    def test_scalar_defect(self):
-        # matches the defect of the scalar contraction 0.6
-        assert np.allclose(la.psd_sqrt([[0.64]]), [[0.8]])
-
-    def test_identity(self):
-        assert np.allclose(la.psd_sqrt(np.eye(2)), np.eye(2))
-
-    def test_nilpotent_defect(self):
-        h = np.eye(2) - adj(NIL) @ NIL
-        assert np.allclose(la.psd_sqrt(h), np.diag([1.0, 0.0]))
-
-    def test_square_recovers_argument(self, rng):
-        for n in (1, 3, 7, 16):
-            g = random_matrix(rng, n, n)
-            h = g @ adj(g)
-            s = la.psd_sqrt(h)
-            assert la.matnorm_diff(s @ s, h) <= 10 * la.DEFAULT_TOL.eq_abs * max(1, la.opnorm(h))
-            assert la.matnorm_diff(s, adj(s)) <= 1e-12
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitian):
-            la.psd_sqrt([[0, 1], [0, 0]])
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(IndefiniteBeyondTolerance):
-            la.psd_sqrt([[-1.0]])
-
-    def test_clamps_rounding_negatives(self):
-        s = la.psd_sqrt([[-1e-12]])
-        assert s[0, 0] == 0.0
-
-
-class TestPinv:
-    def test_diagonal(self):
-        assert np.allclose(la.pinv(np.diag([2.0, 0.0])), np.diag([0.5, 0.0]))
-
-    def test_empty(self):
-        p = la.pinv(la.zeros(3, 0))
-        assert p.shape == (0, 3)
-
-    def test_penrose_identities(self, rng):
-        mats = [random_matrix(rng, 3, 2)]
-        # rank-deficient cases
-        g = random_matrix(rng, 4, 2)
-        mats.append(g @ random_matrix(rng, 2, 4))
-        mats.append(la.zeros(3, 3))
-        for m in mats:
-            p = la.pinv(m)
-            eq = la.DEFAULT_TOL.eq_abs
-            assert la.matnorm_diff(m @ p @ m, m) <= eq
-            assert la.matnorm_diff(p @ m @ p, p) <= eq
-            assert la.matnorm_diff(adj(m @ p), m @ p) <= eq
-            assert la.matnorm_diff(adj(p @ m), p @ m) <= eq
 
 
 class TestKernelRange:
@@ -74,7 +18,7 @@ class TestKernelRange:
         assert la.kernel_basis(np.eye(3)).dim == 0
 
     def test_kernel_of_nilpotent_defect(self):
-        d = la.psd_sqrt(np.eye(2) - adj(NIL) @ NIL)
+        d = la.defect_of(NIL).op
         assert la.subspace_eq(la.kernel_basis(d), la.subspace([[0], [1]]))
 
     def test_range_diag(self):
@@ -251,9 +195,97 @@ class TestPredicates:
         assert la.matnorm_diff(adj(col) @ col, np.eye(2)) <= 1e-13
         assert abs(la.unitarity_residual(col) - 1.0) <= 1e-13
         m = random_matrix(rng, 3, 5)
-        assert la.unitarity_residual(m) == max(
-            la.matnorm_diff(adj(m) @ m, np.eye(5)), la.matnorm_diff(m @ adj(m), np.eye(3))
-        )
+        reference = max(np.linalg.norm(adj(m) @ m - np.eye(5), 2),
+                        np.linalg.norm(m @ adj(m) - np.eye(3), 2))
+        assert abs(la.unitarity_residual(m) - reference) <= 1e-15
+
+
+def _reference_norm(m):
+    """np.linalg.norm(., 2) of each matrix, made apart from the package; 0
+    for an empty one."""
+    if 0 in m.shape[-2:]:
+        return np.zeros(m.shape[:-2])
+    return np.linalg.norm(m, 2, axis=(-2, -1))
+
+
+def _reference_gap(m):
+    """||M*M - I|| by the reference norm."""
+    return _reference_norm(adj(m) @ m - np.eye(m.shape[-1]))
+
+
+class TestNormKernel:
+    """The eigvalsh kernel behind every norm, against np.linalg.norm(., 2)."""
+
+    SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (3, 5), (5, 3), (44, 44)]
+    STACKS = [(3, 25, 4, 4), (3, 25, 1, 1)]
+    EXPONENTS = [-900, -450, -1, 0, 1, 450, 900]
+
+    @staticmethod
+    def _unit_norm(rng, shape):
+        """A Gaussian matrix, or stack, with each matrix scaled to norm 1."""
+        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        top = _reference_norm(g)
+        return g / np.where(top > 0, top, 1.0)[..., None, None]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_opnorm_over_scales(self, rng, shape):
+        m = self._unit_norm(rng, shape)
+        for k in self.EXPONENTS:
+            x = m * 2.0 ** k
+            ref = _reference_norm(x)
+            got = la.opnorm(x)
+            assert isinstance(got, float)
+            assert abs(got - ref) <= 1e-14 * ref, (shape, k)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_gaps_of_unit_scale_matrices(self, rng, shape):
+        for t in (0.5, 1.0, 1.25):
+            m = t * self._unit_norm(rng, shape)
+            iso, coiso = _reference_gap(m), _reference_gap(adj(m))
+            assert abs(la._isometry_gap(m) - iso) <= 1e-15, (shape, t)
+            assert abs(la._isometry_gap(adj(m)) - coiso) <= 1e-15, (shape, t)
+            assert abs(la.unitarity_residual(m) - max(iso, coiso)) <= 1e-15, (shape, t)
+            # one Gram gives all three; MM* - I is read off the same Gram
+            norm, iso_gap, coiso_gap = la._norm_and_gaps(m)
+            assert (norm, iso_gap) == (la.opnorm(m), la._isometry_gap(m))
+            assert max(iso_gap, coiso_gap) == la.unitarity_residual(m)
+            assert abs(coiso_gap - coiso) <= 1e-15, (shape, t)
+
+    def test_gaps_of_near_isometries(self, rng):
+        for rows, cols in [(1, 1), (5, 3), (3, 5), (44, 44)]:
+            u = la.haar_unitary(max(rows, cols), rng)[:rows, :cols]
+            m = u + 1e-9 * random_matrix(rng, rows, cols)
+            for x in (u, m, adj(u), adj(m)):
+                assert abs(la._isometry_gap(x) - _reference_gap(x)) <= 1e-15
+
+    @pytest.mark.parametrize("shape", STACKS)
+    def test_stacks_equal_single_calls(self, rng, shape):
+        unit = self._unit_norm(rng, shape)
+        scaled = unit * 2.0 ** rng.integers(-900, 901, shape[:-2])[..., None, None]
+        for fn, stack in ((la.opnorm, unit), (la.opnorm, scaled),
+                          (la._isometry_gap, unit), (la.unitarity_residual, unit)):
+            got = fn(stack)
+            assert got.shape == shape[:-2]
+            for idx in np.ndindex(*shape[:-2]):
+                assert got[idx] == fn(stack[idx]), (fn.__name__, idx)
+        ref = _reference_norm(scaled)
+        assert np.all(np.abs(la.opnorm(scaled) - ref) <= 1e-14 * ref)
+        assert np.all(np.abs(la._isometry_gap(unit) - _reference_gap(unit)) <= 1e-15)
+
+    def test_predicates(self, rng):
+        eq = la.DEFAULT_TOL.eq_abs
+        u = la.haar_unitary(5, rng)
+        cases = [la.zeros(0, 0), la.zeros(0, 3), la.zeros(3, 0), u, u[:, :3], u[:3, :],
+                 0.9 * u, 1.1 * u[:, :3], random_matrix(rng, 3, 5),
+                 0.9 * self._unit_norm(rng, (5, 3)), self._unit_norm(rng, (44, 44))]
+        for m in cases:
+            rows, cols = m.shape
+            iso = cols <= rows and _reference_gap(m) <= eq
+            coiso = rows <= cols and _reference_gap(adj(m)) <= eq
+            assert la.is_contraction(m) == (_reference_norm(m) <= 1.0 + eq)
+            assert la.is_isometry(m) == iso
+            assert la.is_coisometry(m) == coiso
+            assert la.is_unitary(m) == (rows == cols and iso and coiso)
 
 
 class TestZeroDims:

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -540,21 +541,22 @@ class TestVerifyChain:
         assert f"gamma[{len(seq) - cut - 1}]" in report.residuals
         assert f"gamma[{len(seq) - cut}]" not in report.residuals
 
-    @pytest.mark.parametrize("state_dim, io_dim, seed, solves, svds", [
-        (6, 2, 0, 15, 54),
-        (8, 1, 1, 40, 244),
+    @pytest.mark.parametrize("state_dim, io_dim, seed, solves, svds, eigvalshs", [
+        (6, 2, 0, 15, 5, 39),
+        (8, 1, 1, 40, 10, 114),
     ])
     def test_verify_solves_each_member_stack_once(self, monkeypatch, state_dim, io_dim,
-                                                  seed, solves, svds):
+                                                  seed, solves, svds, eigvalshs):
         # each family's members are factored once per point: the transfer
         # functions and the characteristic functions share one solve, and
-        # the state norm takes no SVD of its own.  ``solves`` and ``svds``
-        # are the counts when both were made per family and the oracle
-        # sampled each level's quadrature circle twice, one solve more per
-        # level past the source
+        # the state norm takes no kernel call of its own.  ``solves`` is the count
+        # when the solves were made per family and the oracle sampled each
+        # level's quadrature circle twice, one solve more per level past the
+        # source.  Every norm is an eigvalsh; the SVDs are the oracle's
+        # unitary-parameter tests
         chain = build_chain(random_conservative_system(state_dim, io_dim,
                                                        np.random.default_rng(seed)))
-        counts = {"solve": 0, "svd": 0}
+        counts = {"solve": 0, "svd": 0, "eigvalsh": 0}
         for name in counts:
             kernel = getattr(np.linalg, name)
 
@@ -565,7 +567,8 @@ class TestVerifyChain:
             monkeypatch.setattr(np.linalg, name, counting)
         assert verify_chain(chain).ok
         families, levels = len(chain.families), len(chain.params) - 1
-        assert counts == {"solve": solves - families - levels, "svd": svds - families}
+        assert counts == {"solve": solves - families - levels, "svd": svds,
+                          "eigvalsh": eigvalshs}
 
     def test_member_with_other_io_dims_is_reported(self):
         # member 0 of family 1 replaced by a system on the same state space
@@ -690,6 +693,35 @@ class TestLatticeCertificate:
         report = verify_chain(chain)
         assert report.ok
         assert any(k.startswith("similarity[") for k in report.residuals)
+
+    def test_stacked_certificates_equal_per_pair(self):
+        # one intertwining_residual call on a family's stacked blocks gives,
+        # bit for bit, each pair's own residual, and verify_chain reports it
+        chain = build_chain(random_conservative_system(8, 2, np.random.default_rng(3)))
+        report = verify_chain(chain).residuals
+        for j, family in enumerate(chain.families):
+            pairs = range(len(family) - 1)
+            us = [_lattice_intertwiner(chain, j, k) for k in pairs]
+            per_pair = [intertwining_residual(family[k], family[k + 1], us[k]) for k in pairs]
+            blocks = [np.array([getattr(s.block, blk) for s in family]) for blk in "dcba"]
+            stacked = intertwining_residual(tuple(x[:-1] for x in blocks),
+                                            tuple(x[1:] for x in blocks), np.array(us))
+            assert stacked.tolist() == per_pair
+            assert [report[f"similarity[{j + 1},{k}]"] for k in pairs] == per_pair
+
+    def test_verify_takes_svds_only_for_unitary_parameters(self, monkeypatch):
+        # every norm is an eigvalsh; the SVDs left are the unitary-parameter
+        # tests of the oracle and of the sequence's validation
+        chain = build_chain(random_conservative_system(40, 4, np.random.default_rng(3)))
+        svd, callers = np.linalg.svd, []
+
+        def recording(*args, **kwargs):
+            callers.append(inspect.currentframe().f_back.f_code.co_name)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        assert verify_chain(chain).ok
+        assert callers == ["is_unitary_parameter"] * 12
 
 
 class TestTermination:

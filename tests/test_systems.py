@@ -141,14 +141,19 @@ class TestClassify:
 
     def test_classify_svd_count(self, monkeypatch):
         # the complements are checked as I - P against the power kernels,
-        # without a complement basis each; the SVDs are the three colligation
-        # norms, the start and the blocks of both Arnoldi iterations, the
-        # joint range and the two projector distances
+        # without a complement basis each; the SVDs are the start and the
+        # blocks of both Arnoldi iterations and the joint range, and the
+        # eigvalsh calls the colligation's norm and gaps, taken at once, and
+        # the two projector distances
         sys = random_conservative_system(16, 2, np.random.default_rng(1))
         svd, calls = np.linalg.svd, []
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        eigvalsh, eigvalsh_calls = np.linalg.eigvalsh, []
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda *a, **k: eigvalsh_calls.append(1) or eigvalsh(*a, **k))
         assert sys.classify().simple
-        assert len(calls) == 22
+        assert len(calls) == 17
+        assert len(eigvalsh_calls) == 3
         eigh, eigh_calls = np.linalg.eigh, []
         monkeypatch.setattr(np.linalg, "eigh",
                             lambda *a, **k: eigh_calls.append(1) or eigh(*a, **k))
