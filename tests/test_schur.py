@@ -541,19 +541,22 @@ class TestVerifyChain:
         assert f"gamma[{len(seq) - cut - 1}]" in report.residuals
         assert f"gamma[{len(seq) - cut}]" not in report.residuals
 
-    @pytest.mark.parametrize("state_dim, io_dim, seed, solves, svds, eigvalshs", [
-        (6, 2, 0, 15, 5, 39),
-        (8, 1, 1, 40, 10, 114),
+    # (svd, eigvalsh) calls of verify_chain per case: every norm is an
+    # eigvalsh, and the SVDs are the oracle's unitary-parameter tests
+    NORM_KERNEL_CALLS = {(6, 2, 0): (5, 39), (8, 1, 1): (10, 114)}
+
+    @pytest.mark.parametrize("state_dim, io_dim, seed, solves, svds", [
+        (6, 2, 0, 15, 54),
+        (8, 1, 1, 40, 244),
     ])
     def test_verify_solves_each_member_stack_once(self, monkeypatch, state_dim, io_dim,
-                                                  seed, solves, svds, eigvalshs):
+                                                  seed, solves, svds):
         # each family's members are factored once per point: the transfer
         # functions and the characteristic functions share one solve, and
-        # the state norm takes no kernel call of its own.  ``solves`` is the count
-        # when the solves were made per family and the oracle sampled each
-        # level's quadrature circle twice, one solve more per level past the
-        # source.  Every norm is an eigvalsh; the SVDs are the oracle's
-        # unitary-parameter tests
+        # the state norm takes no kernel call of its own.  ``solves`` and
+        # ``svds`` are the counts when both were made per family, every norm
+        # was an SVD and the oracle sampled each level's quadrature circle
+        # twice, one solve more per level past the source
         chain = build_chain(random_conservative_system(state_dim, io_dim,
                                                        np.random.default_rng(seed)))
         counts = {"solve": 0, "svd": 0, "eigvalsh": 0}
@@ -567,8 +570,10 @@ class TestVerifyChain:
             monkeypatch.setattr(np.linalg, name, counting)
         assert verify_chain(chain).ok
         families, levels = len(chain.families), len(chain.params) - 1
-        assert counts == {"solve": solves - families - levels, "svd": svds,
-                          "eigvalsh": eigvalshs}
+        svd_calls, eigvalsh_calls = self.NORM_KERNEL_CALLS[state_dim, io_dim, seed]
+        assert counts == {"solve": solves - families - levels, "svd": svd_calls,
+                          "eigvalsh": eigvalsh_calls}
+        assert svd_calls + eigvalsh_calls < svds - families
 
     def test_member_with_other_io_dims_is_reported(self):
         # member 0 of family 1 replaced by a system on the same state space
