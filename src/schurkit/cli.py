@@ -21,7 +21,7 @@ from .contractions import Contraction
 from .errors import NotCNU, SchurkitError
 from .linalg import Tolerance
 from .schur import CHAIN_THRESHOLDS, build_chain, verify_chain
-from .systems import DiscreteSystem, _draw_simple_conservative, disk_grid
+from .systems import DiscreteSystem, _classify, _draw_simple_conservative, disk_grid
 
 EXIT_OK = 0
 EXIT_RESIDUAL = 1
@@ -73,15 +73,10 @@ def _emit(ns: argparse.Namespace, text: str):
         Path(ns.output_path).write_text(text)
 
 
-def _state_of(sys: DiscreteSystem) -> Contraction | None:
-    """A Contraction of the state for the defect profile; None for a
-    zero-dimensional state.  ``verify`` reads the chain's own instead."""
-    return Contraction(sys.a, sys.tol) if sys.state_dim else None
-
-
-def _defect_profile_json(state: Contraction | None, n_max: int | None):
-    """The defect profile; None for no state or a state that is not c.n.u."""
-    if state is None:
+def _defect_profile_json(state: Contraction, n_max: int | None):
+    """The defect profile; None for a zero-dimensional state or a state
+    that is not c.n.u."""
+    if state.dim == 0:
         return None
     try:
         profile = state.defect_profile(state.dim if n_max is None else n_max)
@@ -109,11 +104,14 @@ def _chain_json(chain, report) -> dict:
 
 def _run_analyze(ns: argparse.Namespace) -> int:
     system = _load_system(ns)
+    cls, state = _classify(system)  # a conservative system's state comes along
+    if state is None:
+        state = Contraction(system.a, system.tol)
     out = {
         "dims": {"input": system.in_dim, "output": system.out_dim,
                  "state": system.state_dim},
-        "classification": system.classify().as_dict(),
-        "defect_profile": _defect_profile_json(_state_of(system), ns.n_max),
+        "classification": cls.as_dict(),
+        "defect_profile": _defect_profile_json(state, ns.n_max),
     }
     _emit(ns, serialize.dumps(out))
     return EXIT_OK
@@ -161,10 +159,9 @@ def _run_verify(ns: argparse.Namespace) -> int:
         _emit(ns, serialize.dumps(out))
         return EXIT_RESIDUAL
     chain, report = _build_verified_chain(ns, system)
-    state = chain.state if system.state_dim else None
     out = {
         "classification": chain.classification.as_dict(),
-        "defect_profile": _defect_profile_json(state, ns.n_max),
+        "defect_profile": _defect_profile_json(chain.state, ns.n_max),
         "gammas": [la.matrix_to_json(g) for g in chain.params.gammas],
         "termination_step": chain.termination_step,
         "residuals": dict(sorted(report.residuals.items())),

@@ -9,7 +9,10 @@ The lattice needs no power of A: I - A*^n A^n telescopes to
 sum_{j<n} A*^j D_A^2 A^j, so ker D_{A^n} is the orthocomplement of the
 block Krylov space K_n(A*, ran D_A), and ker D_{A*^m} that of
 K_m(A, ran D_A*).  One block-Arnoldi basis per side gives every edge entry
-as a column slice, and each inner entry is one step from its neighbour.
+as a column slice of that basis completed to a unitary, and each inner
+entry is one step from its neighbour.  In a conservative colligation
+ran D_A* = ran B and ran D_A = ran C*, so the same two bases span the
+controllable and observable spaces that classify a system.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ class DefectProfile:
     delta_star: list[int]
 
 
-# (basis, dims) of a completed block Krylov basis, as block_arnoldi returns it
+# (basis, dims) of a block Krylov basis, as block_arnoldi returns it
 _Krylov = tuple[np.ndarray, list[int]]
 
 
@@ -51,7 +54,10 @@ class Contraction:
     notion.  The first lattice request builds two block-Arnoldi bases, one
     of K(A*, ran D_A) (the observability side) and one of K(A, ran D_A*)
     (the controllability side); a Contraction that never asks for the
-    lattice does not build them.
+    lattice does not build them.  A side whose Krylov space is not the
+    whole space is completed to a unitary once, by the first edge entry
+    that reads it.  A conservative system's classification reads the same
+    two bases (:func:`~schurkit.systems.conservative_state`).
     """
 
     def __init__(self, a, tol: Tolerance = DEFAULT_TOL):
@@ -71,7 +77,7 @@ class Contraction:
         self.defect_astar = self.defect_data_star.space
         self._powers: dict[int, np.ndarray] = {0: la.eye(self.dim), 1: a}
         self._h_cache: dict[tuple[int, int], Subspace] = {}
-        self._krylov: tuple[_Krylov, _Krylov] | None = None
+        self._krylov: list[_Krylov] | None = None
 
     def power(self, n: int) -> np.ndarray:
         if n not in self._powers:
@@ -85,11 +91,11 @@ class Contraction:
     def h_subspace(self, n: int, m: int) -> Subspace:
         """H(n, m), with H(0, 0) the full space.
 
-        H(n, 0) = K_n(A*, ran D_A)^perp is the observability basis past its
-        first dim K_n columns, and H(0, m) the same slice of the
-        controllability basis; both are stored as contiguous copies.  An
-        inner entry is H(n, m-1) /\\ (ran Q_m)^perp, with Q_m the m-th
-        controllability block: one SVD of W* Q_m for the basis W of
+        H(n, 0) = K_n(A*, ran D_A)^perp is the completed observability basis
+        past its first dim K_n columns, and H(0, m) the same slice of the
+        completed controllability basis; both are stored as contiguous
+        copies.  An inner entry is H(n, m-1) /\\ (ran Q_m)^perp, with Q_m the
+        m-th controllability block: one SVD of W* Q_m for the basis W of
         H(n, m-1) (:func:`~schurkit.linalg.intersect_perp`).
         """
         if n < 0 or m < 0:
@@ -98,7 +104,7 @@ class Contraction:
             if n == 0 and m == 0:
                 self._h_cache[n, m] = la.full_space(self.dim)
             elif n == 0 or m == 0:
-                basis, dims = self._bases()[0 if m == 0 else 1]
+                basis, dims = self._completed(0 if m == 0 else 1)
                 cut = dims[min(n + m, len(dims) - 1)]
                 self._h_cache[n, m] = Subspace(self.dim, np.ascontiguousarray(basis[:, cut:]))
             else:
@@ -111,13 +117,28 @@ class Contraction:
                     self._h_cache[n, j] = space
         return self._h_cache[n, m]
 
-    def _bases(self) -> tuple[_Krylov, _Krylov]:
+    def _bases(self) -> list[_Krylov]:
         """The (basis, dims) pairs of :func:`~schurkit.linalg.block_arnoldi`
-        for K(A*, ran D_A) and K(A, ran D_A*), built on first use."""
+        for K(A*, ran D_A) and K(A, ran D_A*), built on first use: the
+        leading ``dims[-1]`` columns of each basis span the Krylov space,
+        and a side that :meth:`_completed` completed has d columns."""
         if self._krylov is None:
-            self._krylov = (la.block_arnoldi(adj(self.a), self.defect_a.basis, self.tol),
-                            la.block_arnoldi(self.a, self.defect_astar.basis, self.tol))
+            self._krylov = [la.block_arnoldi(adj(self.a), self.defect_a.basis, self.tol),
+                            la.block_arnoldi(self.a, self.defect_astar.basis, self.tol)]
         return self._krylov
+
+    def _completed(self, side: int) -> _Krylov:
+        """Side 0 (observability) or 1 (controllability) of :meth:`_bases`,
+        completed to a unitary in place on first use by the complement of a
+        Krylov space that is not the whole space.  The completed basis is
+        column-major like the Arnoldi's, so its blocks keep their layout."""
+        basis, dims = self._bases()[side]
+        if basis.shape[1] < self.dim:
+            full = np.empty((self.dim, self.dim), dtype=complex, order="F")
+            full[:, :dims[-1]] = basis
+            full[:, dims[-1]:] = Subspace(self.dim, basis).complement(self.tol).basis
+            self._krylov[side] = full, dims
+        return self._krylov[side]
 
     def compress(self, n: int, m: int) -> np.ndarray:
         """Matrix of P(n, m) A restricted to H(n, m) in the stored basis."""

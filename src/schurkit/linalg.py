@@ -404,12 +404,13 @@ def block_arnoldi(x: np.ndarray, start: np.ndarray,
                   tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, list[int]]:
     """Nested orthonormal bases of the block Krylov spaces
     K_n = span{S, XS, ..., X^{n-1} S} of a square matrix X and a matrix S
-    with orthonormal columns, completed to a unitary.
+    with orthonormal columns.
 
-    Returns ``(basis, dims)``: the first ``dims[n]`` columns of the d x d
-    ``basis`` span K_n, for n below ``len(dims)``; ``dims[0] = 0`` and the
-    last entry is the dimension of the whole Krylov space, which the
-    remaining columns complement.  Each new block is X times the newest
+    Returns ``(basis, dims)``: the first ``dims[n]`` columns of ``basis``
+    span K_n, for n below ``len(dims)``; ``dims[0] = 0`` and the last entry
+    is the dimension of the whole Krylov space, the column count of
+    ``basis``.  The columns are a column-major slice, so that every block
+    is a contiguous column range.  Each new block is X times the newest
     block, projected off the basis by two Gram-Schmidt passes; its thin SVD
     keeps the left singular vectors whose squared singular values pass the
     squared-scale cut of the defect decisions (the values are at most 1
@@ -433,9 +434,7 @@ def block_arnoldi(x: np.ndarray, start: np.ndarray,
             z = z - q @ (adj(q) @ z)
         u, s, _ = np.linalg.svd(z, full_matrices=False)
         block = u[:, : np.count_nonzero(_squared_keep(s * s, tol))]
-    if dims[-1] < d:
-        basis[:, dims[-1]:] = Subspace(d, basis[:, : dims[-1]]).complement(tol).basis
-    return basis, dims
+    return basis[:, : dims[-1]], dims
 
 
 def intersect_perp(u: Subspace, q: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Subspace:

@@ -650,7 +650,9 @@ def verify_chain(chain: SchurChain, grid=None) -> ChainReport:
     the similarities that pair it are inf.  So is a member whose input or
     output dimension differs from the iterate's: its transfer_oracle,
     pure_char and similarities are inf, as is every transfer_across_k that
-    pairs it.
+    pairs it.  A member whose blocks are not all finite is reported the
+    same way, and its unitarity is inf too: no numpy kernel sees its
+    blocks, since LAPACK does not converge on them.
     """
     tol = chain.source.tol
     pts = np.asarray(disk_grid() if grid is None else grid, dtype=complex)
@@ -704,14 +706,15 @@ def verify_chain(chain: SchurChain, grid=None) -> ChainReport:
             split = pure_part(psi @ theta_o(0) @ adj(omega), tol)
         except SchurkitError:
             split = None
-        fits = np.array([(s.out_dim, s.in_dim) == aligned.shape[1:] for s in family])
+        finite = np.array([_is_finite(s) for s in family])
+        fits = finite & np.array([(s.out_dim, s.in_dim) == aligned.shape[1:] for s in family])
         intertwiners = [_lattice_intertwiner(chain, idx, k) for k in range(len(family) - 1)]
-        unitarity = np.empty(len(family))
+        unitarity = np.full(len(family), np.inf)
         pure = np.full(len(family), np.inf)
         similarity = np.full(len(intertwiners), np.inf)
         certified = np.zeros(len(intertwiners), dtype=bool)
         transfers = np.zeros((len(family),) + aligned.shape, dtype=complex)
-        for members, blocks in _state_groups(family):
+        for members, blocks in _state_groups(family, finite):
             norms, iso_gap, coiso_gap = la._norm_and_gaps(assemble_blocks(*blocks))
             unitarity[members] = np.maximum(iso_gap, coiso_gap)
             if fits[members[0]]:
@@ -731,7 +734,8 @@ def verify_chain(chain: SchurChain, grid=None) -> ChainReport:
                 certified[ks] = True
         for k in np.flatnonzero(~certified):
             u = intertwiners[k]
-            if u.shape == (family[k + 1].state_dim, family[k].state_dim):
+            if finite[k] and finite[k + 1] and u.shape == (family[k + 1].state_dim,
+                                                           family[k].state_dim):
                 similarity[k] = intertwining_residual(family[k], family[k + 1], u)
         to_oracle = grid_distance(transfers, np.broadcast_to(aligned, transfers.shape), pts)
         to_oracle[~fits] = np.inf
@@ -756,13 +760,20 @@ def _index_groups(keys) -> list[np.ndarray]:
     return [np.array(g) for g in groups.values()]
 
 
-def _state_groups(family: list[DiscreteSystem]):
-    """The members of ``family`` grouped by state, input and output
-    dimension: per group the member positions and the (d, c, b, a) blocks
-    stacked along a leading member axis."""
-    for members in _index_groups((s.state_dim, s.in_dim, s.out_dim) for s in family):
-        yield members, tuple(np.array([getattr(family[i].block, blk) for i in members])
-                             for blk in "dcba")
+def _is_finite(s: DiscreteSystem) -> bool:
+    return all(np.isfinite(getattr(s.block, blk)).all() for blk in "dcba")
+
+
+def _state_groups(family: list[DiscreteSystem], finite: np.ndarray):
+    """The members of ``family`` that ``finite`` selects, grouped by state,
+    input and output dimension: per group the member positions and the
+    (d, c, b, a) blocks stacked along a leading member axis."""
+    keys = [(s.state_dim, s.in_dim, s.out_dim) if ok else None
+            for s, ok in zip(family, finite)]
+    for members in _index_groups(keys):
+        if keys[members[0]] is not None:
+            yield members, tuple(np.array([getattr(family[i].block, blk) for i in members])
+                                 for blk in "dcba")
 
 
 def _pure_char_residual(blocks, norms: np.ndarray, split: PureSplit | None,

@@ -230,70 +230,94 @@ class DiscreteSystem:
         return _krylov_range(adj(self.a), adj(self.c), self.tol)
 
     def classify(self) -> SystemClassification:
-        """Classification flags; conservative systems are cross-checked
-        against the defect-kernel characterization of the controllable and
-        observable complements.
+        """Classification flags.
 
-        In a conservative colligation D_A*^2 = BB* and D_A^2 = C*C, so
-        ker D_{A*^d} and ker D_{A^d} are the complements of K(A, B) and
-        K(A*, C*).  The Krylov ranges come from a block Arnoldi iteration;
-        the kernels from the eigendecompositions of I - A^d A^d* and
-        I - A^d* A^d, a second, independent route.
+        A conservative system is classified on the block-Krylov bases of
+        its state's :class:`Contraction`, which are cross-checked against
+        the defect-kernel characterization of their complements; any other
+        system on block-Krylov ranges started from ran B and ran C*.  See
+        :func:`_classify`.
         """
-        full = self.colligation()
-        norm, iso_gap, coiso_gap = la._norm_and_gaps(full)
-        passive = norm <= 1.0 + self.tol.eq_abs
-        isometric = full.shape[1] <= full.shape[0] and iso_gap <= self.tol.eq_abs
-        coisometric = full.shape[0] <= full.shape[1] and coiso_gap <= self.tol.eq_abs
-        conservative = isometric and coisometric
-        d = self.state_dim
-        ctrl = self.controllable_subspace()
-        obs = self.observable_subspace()
-        controllable = ctrl.dim == d
-        observable = obs.dim == d
-        joint = la.range_basis(np.hstack([ctrl.basis, obs.basis]), self.tol)
-        simple = joint.dim == d
-        if conservative and d > 0:
-            power = np.linalg.matrix_power(self.a, d)
-            # I - P projects onto the complement; no basis of it is needed
-            for span, adjoint in ((ctrl, True), (obs, False)):
-                kernel = la.defect_of(power, self.tol, adjoint=adjoint).kernel
-                if la.matnorm_diff(la.eye(d) - span.projector(), kernel.projector()) > 1e-7:
-                    raise RankInconsistency("Krylov and defect-kernel characterizations disagree")
-        return SystemClassification(
-            passive, isometric, coisometric, conservative,
-            controllable, observable, simple, controllable and observable,
-        )
+        return _classify(self)[0]
 
     def is_simple_conservative(self) -> bool:
         cls = self.classify()
         return cls.conservative and cls.simple
 
 
-def conservative_state(sys: DiscreteSystem, require_simple: bool = True):
-    """(state, classification) of a conservative system: its state as a
-    :class:`Contraction` at the system's tolerance, and its classification.
+def conservative_state(sys: DiscreteSystem):
+    """(state, classification) of a simple conservative system: its state
+    as a :class:`Contraction` at the system's tolerance, whose lattice the
+    classification read, and its classification.
 
-    Raises :class:`NotSimpleConservative` unless the system is conservative,
-    and simple when ``require_simple`` is set.
+    Raises :class:`NotSimpleConservative` unless the system is conservative
+    and simple.
     """
-    try:
-        state = Contraction(sys.a, sys.tol)
-        cls = sys.classify()
-    except NotContraction:  # the state of a conservative system is a contraction
-        cls = None
-    if not (cls and cls.conservative and (cls.simple or not require_simple)):
-        kind = "simple conservative" if require_simple else "conservative"
-        raise NotSimpleConservative(f"this construction requires a {kind} system")
+    cls, state = _classify(sys)
+    if not (cls.conservative and cls.simple):
+        raise NotSimpleConservative("this construction requires a simple conservative system")
     return state, cls
 
 
+def _classify(sys: DiscreteSystem) -> tuple[SystemClassification, Optional[Contraction]]:
+    """(classification, state) of a system; the state is the
+    :class:`Contraction` of a conservative system's state matrix, which the
+    classification read, and None for any other system.
+
+    In a conservative colligation D_A*^2 = BB* and D_A^2 = C*C, so the
+    controllable space K(A, B) and the observable space K(A*, C*) are
+    K(A, ran D_A*) and K(A*, ran D_A): the leading ``dims[-1]`` columns of
+    the two block-Arnoldi bases of the state's lattice, one Arnoldi run per
+    side with the defect cut.  They are cross-checked against a second,
+    independent route: ker D_{A*^d} and ker D_{A^d}, the kernels of
+    I - A^d A^d* and I - A^d* A^d, must complement them.  For a span basis
+    S and a kernel basis K of complementary dimensions,
+    ||(I - P_S) - P_K|| = ||K* S||, so one small product replaces the two
+    projectors.  Any other system is classified on :func:`_krylov_range`
+    from ran B and ran C*.  The joint range of the two spaces is taken only
+    when neither of them is the whole space.
+    """
+    tol = sys.tol
+    full = sys.colligation()
+    norm, iso_gap, coiso_gap = la._norm_and_gaps(full)
+    passive = norm <= 1.0 + tol.eq_abs
+    isometric = full.shape[1] <= full.shape[0] and iso_gap <= tol.eq_abs
+    coisometric = full.shape[0] <= full.shape[1] and coiso_gap <= tol.eq_abs
+    conservative = isometric and coisometric
+    d = sys.state_dim
+    state = None
+    if conservative:
+        state = Contraction(sys.a, tol)
+        obs, ctrl = (Subspace(d, basis[:, :dims[-1]]) for basis, dims in state._bases())
+    else:
+        ctrl = sys.controllable_subspace()
+        obs = sys.observable_subspace()
+    controllable = ctrl.dim == d
+    observable = obs.dim == d
+    simple = (controllable or observable
+              or la.range_basis(np.hstack([ctrl.basis, obs.basis]), tol).dim == d)
+    if conservative and d > 0:
+        power = np.linalg.matrix_power(sys.a, d)
+        for span, adjoint in ((ctrl, True), (obs, False)):
+            _, vecs, keep, _ = la._defect_decision(power, tol, adjoint)
+            kernel = vecs[:, ~keep]
+            if (kernel.shape[1] + span.dim != d
+                    or la.opnorm(adj(kernel) @ span.basis) > 1e-7):
+                raise RankInconsistency("Krylov and defect-kernel characterizations disagree")
+    cls = SystemClassification(
+        passive, isometric, coisometric, conservative,
+        controllable, observable, simple, controllable and observable,
+    )
+    return cls, state
+
+
 def _krylov_range(a: np.ndarray, b: np.ndarray, tol: Tolerance) -> Subspace:
-    """Span of A^n B over all n: the leading columns of the block-Arnoldi
-    basis of K(A, ran B), which takes one factor of A per block, so no
-    power of A is formed."""
-    basis, dims = la.block_arnoldi(a, la.range_basis(b, tol).basis, tol)
-    return Subspace(a.shape[0], basis[:, : dims[-1]])
+    """Span of A^n B over all n: the block-Arnoldi basis of K(A, ran B),
+    which takes one factor of A per block, so no power of A is formed.
+    Classifies the systems that are not conservative; a conservative
+    system reads its state's lattice instead (:func:`_classify`)."""
+    basis, _ = la.block_arnoldi(a, la.range_basis(b, tol).basis, tol)
+    return Subspace(a.shape[0], basis)
 
 
 def discrete_system(d, c, b, a, tol: Tolerance = DEFAULT_TOL) -> DiscreteSystem:
@@ -408,22 +432,21 @@ class DefectFunctions:
     omega_star: Subspace
 
 
-def defect_functions(sys: DiscreteSystem, require_simple: bool = True) -> DefectFunctions:
+def defect_functions(sys: DiscreteSystem) -> DefectFunctions:
     """Defect (spectral-factor) functions of a simple conservative system.
 
     phi(lambda) = P_Omega (I - lambda A)^{-1} B with
     Omega = (observable)^perp (-) A (observable)^perp, and
     psi(lambda) = C (I - lambda A)^{-1} restricted to
     Omega* = (controllable)^perp (-) A* (controllable)^perp.
-    phi vanishes iff the system is observable, psi iff controllable.
-    ``require_simple=False`` evaluates the same formulas on a conservative
-    system with a non-simple part, for diagnostic use.  The complements are
-    H(d, 0) and H(0, d) of the state's lattice.  A is isometric on
+    phi vanishes iff the system is observable, psi iff controllable.  The
+    complements are H(d, 0) and H(0, d) of the state's lattice, whose two
+    Krylov bases the classification read.  A is isometric on
     H(d, 0), which lies in ker D_A, and A* on H(0, d), so A W and A* W' have
     orthonormal columns for the bases W, W' of the two, and each subspace
     is one :func:`~schurkit.linalg.intersect_perp`.
     """
-    state, _ = conservative_state(sys, require_simple)
+    state, _ = conservative_state(sys)
     d = sys.state_dim
     obs_perp, ctrl_perp = state.h_subspace(d, 0), state.h_subspace(0, d)
     omega = la.intersect_perp(obs_perp, sys.a @ obs_perp.basis, sys.tol)

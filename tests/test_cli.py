@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from schurkit import serialize
+from schurkit import linalg as la
+from schurkit import serialize, systems
 from schurkit.cli import main
 from schurkit.contractions import Contraction
 from schurkit.errors import SchurkitError
@@ -66,9 +67,10 @@ def test_analyze_unitary_without_inputs(tmp_path):
 
 
 def test_analyze_svd_count(tmp_path, monkeypatch):
-    # the defect profile decides c.n.u. once on the lattice, and the
-    # classification builds its own two Krylov ranges and checks their
-    # complements against two power kernels, without a complement basis
+    # the classification reads the two Krylov bases of the state's lattice
+    # and checks their complements against two power kernels, without a
+    # complement basis; the defect profile decides c.n.u. on the same
+    # lattice, and the SVDs are the Arnoldi blocks of its two sides
     path = tmp_path / "sys.json"
     assert main(["random", "--seed", "1", "--state-dim", "16", "--io-dim", "2",
                  "--output", str(path)]) == 0
@@ -78,7 +80,7 @@ def test_analyze_svd_count(tmp_path, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh",
                         lambda *a, **k: eigvalsh_calls.append(1) or eigvalsh(*a, **k))
     assert main(["analyze", "--input", str(path), "--output", str(tmp_path / "a.json")]) == 0
-    assert len(calls) == 31
+    assert len(calls) == 14
     assert len(eigvalsh_calls) == 4
     eigh, eigh_calls = np.linalg.eigh, []
     monkeypatch.setattr(np.linalg, "eigh",
@@ -155,8 +157,8 @@ def test_verify_classifies_the_source_once(tmp_path, monkeypatch, capsys):
     assert main(["random", "--seed", "1", "--state-dim", "8", "--io-dim", "1",
                  "--output", str(path)]) == 0
     expected = serialize.system_from_json(json.loads(path.read_text())).classify().as_dict()
-    classify, calls = DiscreteSystem.classify, []
-    monkeypatch.setattr(DiscreteSystem, "classify",
+    classify, calls = systems._classify, []
+    monkeypatch.setattr(systems, "_classify",
                         lambda *a, **k: calls.append(1) or classify(*a, **k))
     assert main(["verify", "--input", str(path)]) == 0
     assert len(calls) == 1
@@ -173,17 +175,21 @@ def test_random_classifies_once(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["classification"]["simple"]
 
 
-def test_realize_builds_one_contraction(tmp_path, monkeypatch):
-    # the member classifications check their Krylov ranges against power
-    # kernels, so only the source's chain builds a lattice
+def test_realize_runs_two_arnoldis_per_classified_system(tmp_path, monkeypatch):
+    # every classification of a conservative system reads the two Krylov
+    # bases of its state's lattice, and the source's chain reads the ones
+    # its input check built: two block-Arnoldi runs per classified system
     path = tmp_path / "sys.json"
     assert main(["random", "--seed", "1", "--state-dim", "8", "--io-dim", "1",
                  "--output", str(path)]) == 0
-    init, built = Contraction.__init__, []
-    monkeypatch.setattr(Contraction, "__init__",
-                        lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    arnoldi, calls = la.block_arnoldi, []
+    monkeypatch.setattr(la, "block_arnoldi",
+                        lambda *a, **k: calls.append(1) or arnoldi(*a, **k))
+    classify, classified = systems._classify, []
+    monkeypatch.setattr(systems, "_classify",
+                        lambda *a, **k: classified.append(1) or classify(*a, **k))
     assert main(["realize", "--input", str(path), "--output", str(tmp_path / "r.json")]) == 0
-    assert len(built) == 1
+    assert len(calls) == 2 * len(classified) == 72
 
 
 def test_verify_rejects_corruption(system_path, tmp_path):

@@ -597,6 +597,28 @@ class TestVerifyChain:
         assert {k: v for k, v in report.items() if k not in own} == {
             k: v for k, v in base.items() if k not in own}
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_member_with_non_finite_blocks_is_reported(self, bad):
+        # a non-finite entry in member 0 of family 1: LAPACK would not
+        # converge on its blocks, so no kernel sees them; its unitarity,
+        # transfer_oracle, pure_char, and the transfer_across_k and
+        # similarity that pair it are inf, and no other residual changes
+        chain = build_chain(random_conservative_system(8, 2, np.random.default_rng(3)))
+        family = [list(f) for f in chain.families]
+        victim = family[0][0]
+        a = victim.a.copy()
+        a[0, 0] = bad
+        family[0][0] = discrete_system(victim.d, victim.c, victim.b, a)
+        report = verify_chain(dataclasses.replace(chain, families=family)).residuals
+        base = verify_chain(chain).residuals
+        failed = {"unitarity[1,0]", "transfer_oracle[1,0]", "pure_char[1,0]",
+                  "transfer_across_k[1,0]", "similarity[1,0]"}
+        assert list(report) == list(base)
+        assert {k: v for k, v in report.items() if k in failed} == dict.fromkeys(
+            failed, float("inf"))
+        assert {k: v for k, v in report.items() if k not in failed} == {
+            k: v for k, v in base.items() if k not in failed}
+
     @pytest.mark.parametrize("state_dim, io_dim", [(6, 2), (8, 1)])
     def test_pure_char_matches_kmx_reference(self, monkeypatch, state_dim, io_dim):
         # every pure_char residual equals its definition through the KMX

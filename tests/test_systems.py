@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import schurkit.linalg as la
-from schurkit import systems
 from schurkit import (
     Contraction,
     char_colligation,
@@ -140,11 +139,13 @@ class TestClassify:
                               dual.controllable_subspace().basis)
 
     def test_classify_svd_count(self, monkeypatch):
-        # the complements are checked as I - P against the power kernels,
-        # without a complement basis each; the SVDs are the start and the
-        # blocks of both Arnoldi iterations and the joint range, and the
-        # eigvalsh calls the colligation's norm and gaps, taken at once, and
-        # the two projector distances
+        # a conservative system is classified on its state's lattice: the
+        # SVDs are the blocks of its two Arnoldi iterations, started from
+        # the defect bases, and no joint range is taken since both sides are
+        # full; the eigh calls are the state's two defects and the two power
+        # kernels, and the eigvalsh calls the colligation's norm and gaps,
+        # taken at once, the state's norm and the two products K* S that
+        # check the complements without a complement basis
         sys = random_conservative_system(16, 2, np.random.default_rng(1))
         svd, calls = np.linalg.svd, []
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
@@ -152,13 +153,13 @@ class TestClassify:
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             lambda *a, **k: eigvalsh_calls.append(1) or eigvalsh(*a, **k))
         assert sys.classify().simple
-        assert len(calls) == 17
-        assert len(eigvalsh_calls) == 3
+        assert len(calls) == 14
+        assert len(eigvalsh_calls) == 4
         eigh, eigh_calls = np.linalg.eigh, []
         monkeypatch.setattr(np.linalg, "eigh",
                             lambda *a, **k: eigh_calls.append(1) or eigh(*a, **k))
         assert sys.classify().simple
-        assert len(eigh_calls) == 2
+        assert len(eigh_calls) == 4
 
 
 _FLAGS = ("controllable", "observable", "simple", "minimal")
@@ -202,14 +203,17 @@ class TestClassifyKrylovRoute:
         assert {k: cls[k] for k in _FLAGS} == _stacked_power_flags(sys)
 
     def test_lost_krylov_direction_raises(self, monkeypatch):
+        # a conservative system reads its Krylov spaces off its state's
+        # lattice; a basis that lost a column no longer complements the
+        # power kernel
         sys = random_conservative_system(6, 1, np.random.default_rng(0))
-        krylov = systems._krylov_range
+        bases = Contraction._bases
 
-        def short(a, b, tol):
-            span = krylov(a, b, tol)
-            return la.Subspace(span.ambient_dim, span.basis[:, :-1])
+        def short(self):
+            (obs, obs_dims), ctrl = bases(self)
+            return [(obs[:, :-1], obs_dims[:-1] + [obs_dims[-1] - 1]), ctrl]
 
-        monkeypatch.setattr(systems, "_krylov_range", short)
+        monkeypatch.setattr(Contraction, "_bases", short)
         with pytest.raises(RankInconsistency):
             sys.classify()
 
@@ -362,8 +366,7 @@ class TestDefectFunctions:
 
     def test_unobservable_block_detected(self, rng):
         # uncoupled unitary state block: the observable complement is the
-        # extra block, on which the state acts unitarily, so the sampling
-        # subspace and both defect functions still vanish
+        # extra block, on which the state acts unitarily
         base = permutation_colligation()
         u = la.haar_unitary(1, rng)
         a = np.block([
@@ -374,12 +377,8 @@ class TestDefectFunctions:
                               np.vstack([base.b, la.zeros(1, 1)]), a)
         assert sys.is_conservative()
         assert not sys.classify().simple
-        funcs = defect_functions(sys, require_simple=False)
         obs_perp = sys.observable_subspace().complement()
         assert obs_perp.dim == 1
-        assert funcs.omega.dim == 0
-        for lam in GRID[:5]:
-            assert la.opnorm(funcs.phi(lam)) <= 1e-12
 
 
 def _unobservable_extension(rng):
@@ -395,22 +394,19 @@ class TestDefectFunctionsFromTheLattice:
     """The complements come from the lattice the classification checked."""
 
     def test_ranges_are_built_once(self, monkeypatch):
+        # the classification and the complements read one Arnoldi per side
         sys = random_conservative_system(8, 1, np.random.default_rng(1))
-        range_basis, calls = la.range_basis, []
-        monkeypatch.setattr(la, "range_basis",
-                            lambda *a, **k: calls.append(1) or range_basis(*a, **k))
+        arnoldi, calls = la.block_arnoldi, []
+        monkeypatch.setattr(la, "block_arnoldi",
+                            lambda *a, **k: calls.append(1) or arnoldi(*a, **k))
         defect_functions(sys)
-        assert len(calls) == 3
+        assert len(calls) == 2
 
-    @pytest.mark.parametrize("simple", [True, False])
-    def test_basis_free_outputs_match_the_krylov_route(self, rng, simple):
+    def test_basis_free_outputs_match_the_krylov_route(self):
         # reference: complements of the Krylov ranges, then the same formulas
-        if simple:
-            sys = random_conservative_system(8, 1, np.random.default_rng(1))
-        else:
-            sys = _unobservable_extension(rng)
+        sys = random_conservative_system(8, 1, np.random.default_rng(1))
         tol = sys.tol
-        funcs = defect_functions(sys, require_simple=simple)
+        funcs = defect_functions(sys)
         obs_perp = sys.observable_subspace().complement(tol)
         ctrl_perp = sys.controllable_subspace().complement(tol)
         omega = la.subspace_intersect(
