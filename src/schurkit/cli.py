@@ -21,7 +21,7 @@ from .contractions import Contraction
 from .errors import NotCNU, SchurkitError
 from .linalg import Tolerance
 from .schur import CHAIN_THRESHOLDS, build_chain, verify_chain
-from .systems import DiscreteSystem, _classify, _draw_simple_conservative, disk_grid
+from .systems import _DISK_RADII, DiscreteSystem, _classify, _draw_simple_conservative, disk_grid
 
 EXIT_OK = 0
 EXIT_RESIDUAL = 1
@@ -242,11 +242,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", dest="output_path")
         if verb in ("analyze", "schur", "realize", "verify"):
             p.add_argument("--n-max", dest="n_max", type=int)
-        p.add_argument("--rank-tol", dest="rank_tol", type=float, default=1e-10)
-        p.add_argument("--eq-tol", dest="eq_tol", type=float, default=1e-9)
+        p.add_argument("--rank-tol", dest="rank_tol", type=float, default=la.DEFAULT_TOL.rank_rel)
+        p.add_argument("--eq-tol", dest="eq_tol", type=float, default=la.DEFAULT_TOL.eq_abs)
         if verb in ("schur", "verify", "sample"):
             p.add_argument("--grid-radii", dest="grid_radii", type=_parse_radii,
-                           default=(0.3, 0.6, 0.9))
+                           default=_DISK_RADII)
         if verb == "random":
             p.add_argument("--seed", dest="seed", type=int, default=0)
             p.add_argument("--state-dim", dest="state_dim", type=int, default=4)

@@ -96,7 +96,8 @@ class Contraction:
         completed controllability basis; both are stored as contiguous
         copies.  An inner entry is H(n, m-1) /\\ (ran Q_m)^perp, with Q_m the
         m-th controllability block: one SVD of W* Q_m for the basis W of
-        H(n, m-1) (:func:`~schurkit.linalg.intersect_perp`).
+        H(n, m-1) (:func:`~schurkit.linalg.intersect_perp`), made in a loop from
+        H(n, 0) up, not a recursion: a first H(d, d) costs no stack depth.
         """
         if n < 0 or m < 0:
             raise ValueError("indices must be nonnegative")
@@ -108,13 +109,13 @@ class Contraction:
                 cut = dims[min(n + m, len(dims) - 1)]
                 self._h_cache[n, m] = Subspace(self.dim, np.ascontiguousarray(basis[:, cut:]))
             else:
-                k = next(j for j in range(m - 1, -1, -1) if j == 0 or (n, j) in self._h_cache)
-                space = self.h_subspace(n, k)
+                space = self.h_subspace(n, 0)
                 basis, dims = self._bases()[1]
-                for j in range(k + 1, m + 1):
-                    block = basis[:, dims[j - 1]:dims[j]] if j < len(dims) else basis[:, :0]
-                    space = la.intersect_perp(space, block, self.tol)
-                    self._h_cache[n, j] = space
+                for j in range(1, m + 1):
+                    if (n, j) not in self._h_cache:
+                        block = basis[:, dims[j - 1]:dims[j]] if j < len(dims) else basis[:, :0]
+                        self._h_cache[n, j] = la.intersect_perp(space, block, self.tol)
+                    space = self._h_cache[n, j]
         return self._h_cache[n, m]
 
     def _bases(self) -> list[_Krylov]:

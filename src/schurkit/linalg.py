@@ -212,7 +212,7 @@ class Subspace:
         return opnorm(resid) <= tol.eq_abs
 
 
-def subspace(basis, ambient_dim=None, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+def subspace(basis, ambient_dim=None) -> Subspace:
     """Wrap an orthonormal-column matrix as a :class:`Subspace`.
 
     Raises ``ValueError`` when the columns are not orthonormal to 1e-12.

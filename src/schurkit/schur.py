@@ -39,7 +39,6 @@ from .errors import (
 from .linalg import DEFAULT_TOL, Subspace, Tolerance, adj
 from .systems import (
     DiscreteSystem,
-    PureSplit,
     SampledFunction,
     SystemClassification,
     char_of_resolvent,
@@ -49,7 +48,6 @@ from .systems import (
     disk_grid,
     grid_distance,
     intertwining_residual,
-    pure_part,
     resolvent_stack,
     transfer_of_resolvent,
     transfer_stack,
@@ -625,13 +623,13 @@ def verify_chain(chain: SchurChain, grid=None) -> ChainReport:
     """Cross-verify a realization chain against the function-level oracle.
 
     Residual groups: (a) parameters, realization versus oracle after basis
-    alignment; (b) transfer functions of every iterate realization versus
-    the oracle iterate, and across k; (c) unitary-similarity certificates
-    across k; (d) characteristic function of the compressed state versus
-    the pure part of the oracle iterate; (e) colligation unitarity and
-    shape bookkeeping.  Failures are reported, never raised; a breakdown of
-    the oracle is reported as ``oracle_breakdown`` and the parameters and
-    iterates the oracle did produce are compared as usual.
+    alignment; (b) transfer functions of every iterate realization versus the
+    oracle iterate, and across k; (c) unitary-similarity certificates across
+    k; (d) characteristic function of the compressed state versus the pure
+    part of the oracle iterate on the defect pair of its value at 0; (e)
+    colligation unitarity and shape bookkeeping.  Failures are reported, never
+    raised; a breakdown of the oracle is reported as ``oracle_breakdown`` and
+    the parameters and iterates the oracle did produce are compared as usual.
 
     The similarity certificate of members k and k+1 of family n is the
     lattice intertwiner U_k = W_{k+1}* A W_k, with W_k the stored basis of
@@ -640,19 +638,19 @@ def verify_chain(chain: SchurChain, grid=None) -> ChainReport:
     rank decision and comparison is made at the source system's tolerance.
 
     Each family is checked as stacks of its members, one stack per state
-    dimension (one in every correct chain), so that each kind of work is
-    one stacked numpy call: one spectral-norm kernel call gives each
-    member's unitarity and the colligation norms of the pure_char check,
-    and one intertwining_residual call certifies the pairs of the stack.
-    The transfer function of a member and the characteristic function of
-    its state share one solve of I - lambda A per point.  A member whose
-    state dimension differs from its neighbours' is reported, not raised:
-    the similarities that pair it are inf.  So is a member whose input or
-    output dimension differs from the iterate's: its transfer_oracle,
-    pure_char and similarities are inf, as is every transfer_across_k that
-    pairs it.  A member whose blocks are not all finite is reported the
-    same way, and its unitarity is inf too: no numpy kernel sees its
-    blocks, since LAPACK does not converge on them.
+    dimension (one in every correct chain), so that each kind of work is one
+    stacked numpy call: one spectral-norm kernel call gives each member's
+    unitarity and the colligation norms of the pure_char check, and one
+    intertwining_residual call certifies the pairs of the stack; every other
+    pair's similarity is inf.  The transfer function of a member and the
+    characteristic function of its state share one solve of I - lambda A per
+    point.  A member whose state dimension differs from its neighbours' is
+    reported, not raised: the similarities that pair it are inf.  So is a
+    member whose input or output dimension differs from the iterate's: its
+    transfer_oracle, pure_char and similarities are inf, as is every
+    transfer_across_k that pairs it.  A member whose blocks are not all finite
+    is reported the same way, and its unitarity is inf too: no numpy kernel
+    sees its blocks, since LAPACK does not converge on them.
     """
     tol = chain.source.tol
     pts = np.asarray(disk_grid() if grid is None else grid, dtype=complex)
@@ -702,24 +700,25 @@ def verify_chain(chain: SchurChain, grid=None) -> ChainReport:
         omega, psi = aligners[n]
         theta_o = oracle.iterates[n]
         aligned = psi @ theta_o.on(pts) @ adj(omega)
+        # a non-finite value has nan defect eigenvalues, which no cut keeps
+        value = psi @ theta_o(0) @ adj(omega)
         try:
-            split = pure_part(psi @ theta_o(0) @ adj(omega), tol)
+            pair = _defect_pair(value, tol) if np.isfinite(value).all() else None
         except SchurkitError:
-            split = None
+            pair = None
         finite = np.array([_is_finite(s) for s in family])
         fits = finite & np.array([(s.out_dim, s.in_dim) == aligned.shape[1:] for s in family])
         intertwiners = [_lattice_intertwiner(chain, idx, k) for k in range(len(family) - 1)]
         unitarity = np.full(len(family), np.inf)
         pure = np.full(len(family), np.inf)
         similarity = np.full(len(intertwiners), np.inf)
-        certified = np.zeros(len(intertwiners), dtype=bool)
         transfers = np.zeros((len(family),) + aligned.shape, dtype=complex)
         for members, blocks in _state_groups(family, finite):
             norms, iso_gap, coiso_gap = la._norm_and_gaps(assemble_blocks(*blocks))
             unitarity[members] = np.maximum(iso_gap, coiso_gap)
             if fits[members[0]]:
                 transfers[members], pure[members] = _pure_char_residual(
-                    blocks, norms, split, aligned, pts, tol)
+                    blocks, norms, pair, aligned, pts, tol)
             # the pairs (k, k+1) of this group whose intertwiner maps its state
             # space to itself, as positions i of k in the group
             firsts = np.array([i for i in range(len(members) - 1)
@@ -731,12 +730,6 @@ def verify_chain(chain: SchurChain, grid=None) -> ChainReport:
                 similarity[ks] = intertwining_residual(
                     tuple(x[firsts] for x in blocks), tuple(x[firsts + 1] for x in blocks),
                     np.array([intertwiners[k] for k in ks]))
-                certified[ks] = True
-        for k in np.flatnonzero(~certified):
-            u = intertwiners[k]
-            if finite[k] and finite[k + 1] and u.shape == (family[k + 1].state_dim,
-                                                           family[k].state_dim):
-                similarity[k] = intertwining_residual(family[k], family[k + 1], u)
         to_oracle = grid_distance(transfers, np.broadcast_to(aligned, transfers.shape), pts)
         to_oracle[~fits] = np.inf
         for k in range(len(family)):
@@ -776,7 +769,7 @@ def _state_groups(family: list[DiscreteSystem], finite: np.ndarray):
                                  for blk in "dcba")
 
 
-def _pure_char_residual(blocks, norms: np.ndarray, split: PureSplit | None,
+def _pure_char_residual(blocks, norms: np.ndarray, pair: DefectPair | None,
                         theta: np.ndarray, pts: np.ndarray, tol: Tolerance):
     """Transfer functions and pure_char residuals of a stack of family
     members whose io dimensions are the iterate's, from one solve of
@@ -784,8 +777,8 @@ def _pure_char_residual(blocks, norms: np.ndarray, split: PureSplit | None,
 
     ``blocks`` are the members' stacked (d, c, b, a) and ``norms`` the
     norms of their [D C; B A]; ``theta`` is the iterate's stack on ``pts`` and
-    ``split`` its pure split at 0, None when that split failed.  The
-    residual compares the pure part of the iterate with the characteristic
+    ``pair`` the defect pair of its value at 0, None when either failed.
+    The residual compares the pure part of the iterate with the characteristic
     function of A*, V* (-A* U + lambda D_A (I - lambda A)^{-1} D_A* U) with
     U and V bases of the defect spaces of A* and A, conjugated by the
     isometries K = C D_A^+ V and M = U* D_A*^+ B that the anchored
@@ -794,7 +787,7 @@ def _pure_char_residual(blocks, norms: np.ndarray, split: PureSplit | None,
     of D_A and D_A* so that their defect bases stack, and each rank group
     makes one solve against [B | D_A* U]: its first io columns give the
     transfer functions.  A member's residual is inf, and no other
-    member's, when ``split`` is None, when its colligation is no
+    member's, when ``pair`` is None, when its colligation is no
     contraction, or when a defect eigenvalue lies below -eq_abs; its
     transfer function then comes from a solve against B alone.  The state
     norm needs no check of its own: it is at most the colligation norm.
@@ -803,8 +796,8 @@ def _pure_char_residual(blocks, norms: np.ndarray, split: PureSplit | None,
     transfers = np.empty((len(d),) + theta.shape, dtype=complex)
     resid = np.full(len(d), np.inf)
     unsolved = np.ones(len(d), dtype=bool)
-    if split is not None:
-        ep, fp = split.dom_pure.basis, split.cod_pure.basis
+    if pair is not None:
+        ep, fp = pair[0].space.basis, pair[1].space.basis
         target = adj(fp) @ theta @ ep
         contractive = np.flatnonzero(norms <= 1.0 + tol.eq_abs)
         a_star = adj(a[contractive])

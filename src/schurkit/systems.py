@@ -35,7 +35,10 @@ from .errors import (
 from .linalg import DEFAULT_TOL, Subspace, Tolerance, adj
 
 
-def disk_grid(radii: Sequence[float] = (0.3, 0.6, 0.9)) -> list[complex]:
+_DISK_RADII = (0.3, 0.6, 0.9)  # the default grid's radii, shared with the command line
+
+
+def disk_grid(radii: Sequence[float] = _DISK_RADII) -> list[complex]:
     """Deterministic sampling grid inside the unit disk: the origin and 8
     equispaced points on each radius (25 points by default)."""
     pts: list[complex] = [0j]

@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from schurkit import linalg as la
 from schurkit import serialize, systems
-from schurkit.cli import main
+from schurkit.cli import build_parser, main
 from schurkit.contractions import Contraction
 from schurkit.errors import SchurkitError
 from schurkit.systems import DiscreteSystem
@@ -291,3 +292,80 @@ def test_verb_rejects_flags_it_does_not_read(system_path, tmp_path, verb, flag, 
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def _write_system(path, system):
+    path.write_text(serialize.dumps(serialize.system_to_json(system)))
+    return path
+
+
+@pytest.mark.parametrize("verb", ["analyze", "schur", "realize", "verify", "sample"])
+def test_verb_without_input_is_a_parse_error(verb, capsys):
+    assert main([verb]) == 2
+    assert capsys.readouterr().err == "error: --input is required for this verb\n"
+
+
+def test_schema_error_is_a_parse_error(system_path, tmp_path):
+    obj = json.loads(system_path.read_text())
+    del obj["A"]
+    path = tmp_path / "no_a.json"
+    path.write_text(json.dumps(obj))
+    assert main(["analyze", "--input", str(path)]) == 2
+
+
+@pytest.mark.parametrize("radii", ["x", "1.5"])
+def test_bad_grid_radii_are_rejected(system_path, radii):
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "--input", str(system_path), "--grid-radii", radii])
+    assert exc.value.code == 2
+
+
+def test_non_square_state_block_is_a_validation_error(tmp_path, capsys):
+    # the blocks agree with a header with h = 2 and k = 3, but a
+    # discrete-time system needs a square state block
+    rng = np.random.default_rng(0)
+    obj = {"m": 1, "n": 1, "h": 2, "k": 3}
+    for key, shape in (("D", (1, 1)), ("C", (1, 2)), ("B", (3, 1)), ("A", (3, 2))):
+        obj[key] = la.matrix_to_json(0.1 * rng.standard_normal(shape))
+    path = tmp_path / "rect.json"
+    path.write_text(json.dumps(obj))
+    assert main(["analyze", "--input", str(path)]) == 3
+    assert "square" in capsys.readouterr().err
+
+
+def test_analyze_passive_system_reads_its_own_state(tmp_path, capsys):
+    # a scaled conservative system is passive, not conservative: its defect
+    # profile comes from a Contraction of its own state
+    base = systems.random_conservative_system(8, 1, np.random.default_rng(1))
+    passive = systems.discrete_system(*(0.9 * getattr(base.block, blk) for blk in "dcba"))
+    path = _write_system(tmp_path / "passive.json", passive)
+    assert main(["analyze", "--input", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert not report["classification"]["conservative"]
+    profile = Contraction(passive.a).defect_profile(passive.state_dim)
+    assert report["defect_profile"] == {"delta": profile.delta,
+                                        "delta_star": profile.delta_star}
+
+
+def test_analyze_state_dimension_zero(tmp_path, capsys):
+    system = systems.random_conservative_system(0, 2, np.random.default_rng(0))
+    path = _write_system(tmp_path / "static.json", system)
+    assert main(["analyze", "--input", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["dims"]["state"] == 0
+    assert report["defect_profile"] is None
+
+
+def test_dumps_renders_non_finite_floats_as_strings():
+    assert serialize.dumps([np.nan, np.inf, -np.inf]) == '["nan","inf","-inf"]'
+    assert serialize.dumps({"r": float("inf")}) == '{"r":"inf"}'
+
+
+@pytest.mark.parametrize("verb", ["analyze", "schur", "realize", "verify", "sample", "random"])
+def test_parser_defaults_are_the_library_defaults(verb):
+    ns = build_parser().parse_args([verb])
+    assert (ns.rank_tol, ns.eq_tol) == (la.DEFAULT_TOL.rank_rel, la.DEFAULT_TOL.eq_abs)
+    if verb in ("schur", "verify", "sample"):
+        default = inspect.signature(systems.disk_grid).parameters["radii"].default
+        assert ns.grid_radii == default
+        assert systems.disk_grid(ns.grid_radii) == systems.disk_grid()

@@ -543,7 +543,7 @@ class TestVerifyChain:
 
     # (svd, eigvalsh) calls of verify_chain per case: every norm is an
     # eigvalsh, and the SVDs are the oracle's unitary-parameter tests
-    NORM_KERNEL_CALLS = {(6, 2, 0): (5, 39), (8, 1, 1): (10, 114)}
+    NORM_KERNEL_CALLS = {(6, 2, 0): (5, 33), (8, 1, 1): (10, 93)}
 
     @pytest.mark.parametrize("state_dim, io_dim, seed, solves, svds", [
         (6, 2, 0, 15, 54),
@@ -634,17 +634,17 @@ class TestVerifyChain:
         residual = schur_mod._pure_char_residual
         expected = []
 
-        def with_reference(blocks, colligations, split, theta, pts, tol):
+        def with_reference(blocks, colligations, pair, theta, pts, tol):
             for s in (discrete_system(*member) for member in zip(*blocks)):
                 try:
                     kmx = decompose_kmx(s.block, tol)
                     phi = char_function(Contraction(adj(s.a), tol))
-                    ep, fp = split.dom_pure.basis, split.cod_pure.basis
+                    ep, fp = pair[0].space.basis, pair[1].space.basis
                     expected.append(la.stack_matnorm_diff(
                         adj(fp) @ theta @ ep, adj(fp) @ (kmx.k @ phi.on(pts) @ kmx.m) @ ep))
                 except SchurkitError:
                     expected.append(float("inf"))
-            return residual(blocks, colligations, split, theta, pts, tol)
+            return residual(blocks, colligations, pair, theta, pts, tol)
 
         monkeypatch.setattr(schur_mod, "_pure_char_residual", with_reference)
         report = verify_chain(dataclasses.replace(chain, families=family))
@@ -669,6 +669,39 @@ class TestVerifyChain:
         assert pure.pop("pure_char[2,1]") == float("inf")
         assert pure == {key: v for key, v in base.items()
                         if key.startswith("pure_char[") and key != "pure_char[2,1]"}
+
+    @pytest.mark.parametrize("entry", [2.0, np.nan])
+    def test_iterate_without_defect_pair_fails_its_family(self, monkeypatch, entry):
+        # iterate 1 of the oracle valued at 0 by a matrix of norm 2, or by
+        # one with a nan entry: its value at 0 has no defect pair, so every
+        # pure_char of family 1 is inf, nothing raises, and no residual of
+        # another family moves
+        chain = build_chain(random_conservative_system(6, 2, np.random.default_rng(0)))
+        assert len(chain.families) >= 2
+        oracle = schur_mod.schur_oracle
+
+        def tampered(theta, n_max, tol):
+            run = oracle(theta, n_max, tol)
+            iterate = run.iterates[1]
+
+            def evaluate(pts):
+                values = np.array(iterate.on(pts))
+                values[pts == 0] = 0.0
+                values[pts == 0, 0, 0] = entry
+                return values
+
+            run.iterates[1] = SampledFunction(iterate.in_dim, iterate.out_dim, evaluate)
+            return run
+
+        base = verify_chain(chain).residuals
+        monkeypatch.setattr(schur_mod, "schur_oracle", tampered)
+        report = verify_chain(chain).residuals
+        assert list(report) == list(base)
+        pure = [v for key, v in report.items() if key.startswith("pure_char[1,")]
+        assert pure == [float("inf")] * len(chain.families[0])
+        family_one = {key for key in report if "[1," in key}
+        assert {key: v for key, v in report.items() if key not in family_one} == {
+            key: v for key, v in base.items() if key not in family_one}
 
     def test_family_at_breakdown_step_is_compared(self, monkeypatch, rng):
         # a breakdown at step 2 leaves iterate 2 formed but without its
