@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmbientMismatch, IndefiniteBeyondTolerance
+from .errors import AmbientMismatch, IndefiniteBeyondTolerance, NotContraction
 
 
 @dataclass(frozen=True)
@@ -310,9 +310,11 @@ def defect_of(x: np.ndarray, tol: Tolerance = DEFAULT_TOL, adjoint: bool = False
     directions.  Eigenvalues at or below rank_rel times max(1, largest)
     (the defect spectrum lives in [0, 1]) are treated as exact zeros, so
     ``op`` vanishes on the kernel and ``op @ op_pinv`` is the projector onto
-    the defect space.
+    the defect space.  A matrix with a non-finite entry is no contraction.
     """
     x = cmatrix(x)
+    if not np.isfinite(x).all():
+        raise NotContraction("matrix has a non-finite entry; not a contraction")
     n = x.shape[0] if adjoint else x.shape[1]
     op, op_pinv, v, keep, lowest = defect_stack(x, tol, adjoint)
     if lowest < -tol.eq_abs:

@@ -137,6 +137,14 @@ def test_verify_pass_and_determinism(system_path, tmp_path):
     assert report["termination_step"] is not None
 
 
+def test_verify_deep_scalar_random_system(tmp_path):
+    # a d=20 scalar chain: the oracle's deep levels are read off one circle
+    path = tmp_path / "s.json"
+    assert main(["random", "--seed", "7", "--state-dim", "20", "--io-dim", "1",
+                 "--output", str(path)]) == 0
+    assert main(["verify", "--input", str(path), "--output", str(tmp_path / "r.json")]) == 0
+
+
 def test_verify_decomposes_the_source_state_once(system_path, tmp_path, monkeypatch):
     # the classification and the defect profile read the chain's state
     source = serialize.system_from_json(json.loads(system_path.read_text())).a

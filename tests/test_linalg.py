@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import schurkit.linalg as la
-from schurkit.errors import AmbientMismatch
+from schurkit.errors import AmbientMismatch, NotContraction
 from schurkit.linalg import adj
 from conftest import random_matrix
 
@@ -318,6 +318,13 @@ class TestDefectOf:
         d = la.defect_of(u)
         assert la.opnorm(d.op) == 0.0
         assert d.space.dim == 0 and d.kernel.dim == 4
+
+    @pytest.mark.parametrize("adjoint", [False, True])
+    def test_non_finite_entry_is_no_contraction(self, adjoint):
+        # eigh returns nan eigenvalues, which no cut keeps: without the
+        # check the matrix would come back as unitary
+        with pytest.raises(NotContraction):
+            la.defect_of([[0.5, 0.1], [np.nan, 0.2]], adjoint=adjoint)
 
     def test_partial_isometry_kernel(self):
         # one exact unit singular value must be cut from the defect space

@@ -1,5 +1,8 @@
 import dataclasses
+import importlib.util
 import inspect
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,8 +91,8 @@ class TestOracleStep:
 
     @pytest.mark.parametrize("state_dim, io_dim", [(10, 1), (40, 4)])
     def test_each_level_samples_its_circle_once(self, monkeypatch, state_dim, io_dim):
-        # a level's value at 0 samples the quadrature circle through the
-        # evaluator, which keeps the stack, and the next level reads it back
+        # a level divides on its circle at the points, from the previous
+        # level's circle stack, once, and reads its value at 0 off that stack
         sys = random_conservative_system(state_dim, io_dim, np.random.default_rng(3))
         core, calls = schur_mod._DividedEvaluator._core, []
         monkeypatch.setattr(schur_mod._DividedEvaluator, "_core",
@@ -98,6 +101,65 @@ class TestOracleStep:
         levels = len(chain.iterates) - 1
         assert levels == 10
         assert len(calls) == levels
+
+
+CHECKS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+_spec = importlib.util.spec_from_file_location("perfbench_checks", CHECKS_PATH)
+checks = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(checks)
+
+
+def _chain(state_dim, io_dim, seed):
+    return build_chain(random_conservative_system(state_dim, io_dim,
+                                                  np.random.default_rng(seed)))
+
+
+class TestOracleCircle:
+    """Every divided level of the oracle is read off one circle, so its deep
+    levels keep their digits and the verdict is the realization's."""
+
+    @pytest.mark.parametrize("state_dim, io_dim, seed", [
+        *((d, 1, s) for d in (20, 24, 28, 32) for s in (7, 8)),
+        (40, 2, 1), (40, 2, 2), (40, 2, 3), (56, 2, 8), (40, 1, 175),
+    ])
+    def test_deep_chains_verify(self, state_dim, io_dim, seed):
+        assert verify_chain(_chain(state_dim, io_dim, seed)).failures() == {}
+
+    def test_terminal_drift_fails_shape_alone(self):
+        # the realization's terminal parameter lies just outside the 1e-9
+        # unitary band that validation applies; nothing else fails
+        assert list(verify_chain(_chain(48, 4, 31)).failures()) == ["shape"]
+
+    def test_parameters_match_the_classical_algorithm(self):
+        # the oracle's |Gamma_n| against the textbook recursion on the
+        # Taylor series D, CB, CAB, ... in extended precision
+        sys = random_conservative_system(32, 1, np.random.default_rng(8))
+        oracle = schur_oracle(sys.sampled(), 32)
+        steps = len(oracle.params)
+        series = checks.Colligation(sys.d, sys.c, sys.b, sys.a).taylor(steps)
+        classical = checks.classical_schur([c[0, 0] for c in series], steps)
+        assert len(classical) == steps == 33
+        moduli = np.abs([g[0, 0] for g in oracle.params.gammas])
+        assert np.max(np.abs(np.abs(classical) - moduli)) <= 1e-10
+
+    def test_grid_outside_the_read_off_disk_is_divided_at_the_point(self):
+        report = verify_chain(_chain(8, 1, 1), disk_grid((0.3, 0.95, 0.99)))
+        assert report.ok
+
+    @pytest.mark.parametrize("state_dim, seed", [(12, 165), (16, 11)])
+    def test_routes_agree_on_termination(self, state_dim, seed):
+        chain = _chain(state_dim, 1, seed)
+        oracle = schur_oracle(chain.source.sampled(), len(chain.params) - 1)
+        assert chain.params.terminated and oracle.params.terminated
+        report = verify_chain(chain)
+        assert report.residuals["termination_match"] == 0.0 and report.ok
+
+    def test_flipped_termination_flag_fails(self):
+        chain = _chain(8, 1, 1)
+        assert chain.params.terminated
+        flipped = dataclasses.replace(chain, params=dataclasses.replace(
+            chain.params, terminated=False))
+        assert verify_chain(flipped).failures() == {"termination_match": 1.0}
 
 
 class TestMoebiusParameter:
@@ -542,8 +604,9 @@ class TestVerifyChain:
         assert f"gamma[{len(seq) - cut}]" not in report.residuals
 
     # (svd, eigvalsh) calls of verify_chain per case: every norm is an
-    # eigvalsh, and the SVDs are the oracle's unitary-parameter tests
-    NORM_KERNEL_CALLS = {(6, 2, 0): (5, 33), (8, 1, 1): (10, 93)}
+    # eigvalsh, one of them termination_match's, and the SVDs are the
+    # oracle's unitary-parameter tests
+    NORM_KERNEL_CALLS = {(6, 2, 0): (5, 34), (8, 1, 1): (10, 94)}
 
     @pytest.mark.parametrize("state_dim, io_dim, seed, solves, svds", [
         (6, 2, 0, 15, 54),
@@ -720,6 +783,7 @@ class TestVerifyChain:
         report = verify_chain(chain)
         assert report.failures() == {"oracle_breakdown[2]": float("inf")}
         assert "gamma[2]" not in report.residuals
+        assert "termination_match" not in report.residuals
         assert "transfer_oracle[2,0]" in report.residuals
         assert "pure_char[2,2]" in report.residuals
 
