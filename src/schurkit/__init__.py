@@ -39,7 +39,6 @@ from .linalg import (
     kernel_basis,
     matrix_from_json,
     matrix_to_json,
-    projector,
     range_basis,
     subspace_eq,
     subspace_intersect,
@@ -65,7 +64,6 @@ from .schur import (
 from .systems import (
     DefectFunctions,
     DiscreteSystem,
-    PureSplit,
     SampledFunction,
     SystemClassification,
     char_colligation,
@@ -75,8 +73,6 @@ from .systems import (
     discrete_system,
     disk_grid,
     grid_distance,
-    pure_part,
-    pure_part_function,
     random_conservative_system,
     unitarily_similar,
 )

@@ -11,8 +11,8 @@ lower-right block A, or (F, G, L) anchored at the upper-left block D.
 Both directions are implemented here, together with the isometry and
 co-isometry criteria expressed in the parameters, the identities linking
 the two parametrizations of a unitary matrix, the block Moebius map
-anchored at D, and the Shmul'yan fractional-linear transform of a single
-contraction.
+anchored at D, and the Shmul'yan fractional-linear transform of a
+contraction, at one argument or a stack of them.
 
 Parameter matrices are always expressed in the orthonormal defect bases
 computed by :func:`~schurkit.linalg.defect_of`; ambient versions are
@@ -327,12 +327,23 @@ def moebius_map(d: np.ndarray, q: BlockMatrix, tol: Tolerance = DEFAULT_TOL) -> 
     return BlockMatrix(d, c, b, a)
 
 
+def _shmulyan(t: np.ndarray, dt: np.ndarray, dts: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """T + D_T* Z (I + T* Z)^{-1} D_T, from the defect operators ``dt`` and
+    ``dts`` of T and T*; ``z`` is a matrix, or a stack along leading axes
+    that every other argument broadcasts against, giving the stack of
+    images."""
+    pencil = la.eye(t.shape[-1]) + adj(t) @ z
+    return t + dts @ z @ la.solve_stack(pencil, dt)
+
+
 def shmulyan_transform(t: np.ndarray, z: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Fractional-linear image Q = T + D_T* Z (I + T* Z)^{-1} D_T.
 
     ``z`` is an ambient matrix of the same shape as ``t`` supported on the
     defect spaces (rows of Z* in ran D_T, columns in ran D_T*).  Requires
-    -1 outside the spectrum of T*Z.
+    -1 outside the spectrum of T*Z, which one SVD of I + T*Z tests.  The
+    map itself is the one :func:`~schurkit.schur.moebius_compose` applies
+    on point stacks.
     """
     t, z = la.cmatrix(t), la.cmatrix(z)
     if t.shape != z.shape:
@@ -340,11 +351,7 @@ def shmulyan_transform(t: np.ndarray, z: np.ndarray, tol: Tolerance = DEFAULT_TO
     _require_contraction(t, "T", tol)
     _require_contraction(z, "Z", tol)
     cols = t.shape[1]
-    dt = la.defect_of(t, tol).op
-    dts = la.defect_of(t, tol, adjoint=True).op
     pencil = la.eye(cols) + adj(t) @ z
     if cols and np.linalg.svd(pencil, compute_uv=False)[-1] <= tol.eq_abs:
         raise SingularPencil("-1 is an eigenvalue of T*Z")
-    if cols == 0:
-        return t.copy()
-    return t + dts @ z @ np.linalg.solve(pencil, dt)
+    return _shmulyan(t, la.defect_of(t, tol).op, la.defect_of(t, tol, adjoint=True).op, z)

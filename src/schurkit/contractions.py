@@ -80,8 +80,10 @@ class Contraction:
         self._krylov: list[_Krylov] | None = None
 
     def power(self, n: int) -> np.ndarray:
-        if n not in self._powers:
-            self._powers[n] = self._powers[1] @ self.power(n - 1)
+        """A^n; each missing power from the highest cached one up, as
+        A @ A^{k-1}, in a loop: a first high power costs no stack depth."""
+        for k in range(len(self._powers), n + 1):
+            self._powers[k] = self._powers[1] @ self._powers[k - 1]
         return self._powers[n]
 
     def power_defect(self, n: int, star: bool = False) -> np.ndarray:

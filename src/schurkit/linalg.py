@@ -456,10 +456,6 @@ def intersect_perp(u: Subspace, q: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> 
     return u if r == 0 else Subspace(u.ambient_dim, u.basis @ vecs[:, r:])
 
 
-def projector(u: Subspace) -> np.ndarray:
-    return u.projector()
-
-
 def subspace_eq(u: Subspace, v: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Basis-free equality via projector distance."""
     if u.ambient_dim != v.ambient_dim:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg as la
-from .blockparam import assemble_blocks
+from .blockparam import _shmulyan, assemble_blocks
 from .contractions import Contraction
 from .errors import (
     InvalidSequence,
@@ -41,7 +41,7 @@ from .systems import (
     DiscreteSystem,
     SampledFunction,
     SystemClassification,
-    char_of_resolvent,
+    _char_blocks,
     conservative_state,
     const_function,
     discrete_system,
@@ -191,13 +191,10 @@ def _compose(gamma: np.ndarray, theta_next: SampledFunction, dd: la.DefectData,
             f"iterate acts on {(theta_next.out_dim, theta_next.in_dim)}, defects of the "
             f"parameter have dims {(f.dim, e.dim)}"
         )
-    r = gamma.shape[1]
 
     def evaluate(pts: np.ndarray) -> np.ndarray:
-        lam = pts[:, None, None]
-        amb = f.basis @ theta_next.on(pts) @ adj(e.basis)
-        pencil = la.eye(r) + lam * (adj(gamma) @ amb)
-        return gamma + lam * (dds.op @ amb @ la.solve_stack(pencil, dd.op))
+        z = pts[:, None, None] * (f.basis @ theta_next.on(pts) @ adj(e.basis))
+        return _shmulyan(gamma, dd.op, dds.op, z)
 
     return SampledFunction(gamma.shape[1], gamma.shape[0], evaluate)
 
@@ -780,14 +777,18 @@ def _pure_char_residual(blocks, norms: np.ndarray, pair: DefectPair | None,
     U and V bases of the defect spaces of A* and A, conjugated by the
     isometries K = C D_A^+ V and M = U* D_A*^+ B that the anchored
     parametrization of the colligation provides.  The defect of A is the
-    adjoint defect of A*, and the reverse.  Members are stacked by the ranks
+    adjoint defect of A*, and the reverse.  The characteristic function is
+    the transfer function of A*'s characteristic colligation, whose blocks
+    :func:`~schurkit.systems._char_blocks` gives; its state block is A, so
+    it shares the member's resolvent.  Members are stacked by the ranks
     of D_A and D_A* so that their defect bases stack, and each rank group
     makes one solve against [B | D_A* U]: its first io columns give the
-    transfer functions.  A member's residual is inf, and no other
-    member's, when ``pair`` is None, when its colligation is no
-    contraction, or when a defect eigenvalue lies below -eq_abs; its
-    transfer function then comes from a solve against B alone.  The state
-    norm needs no check of its own: it is at most the colligation norm.
+    transfer functions, the others the characteristic functions.  A
+    member's residual is inf, and no other member's, when ``pair`` is None,
+    when its colligation is no contraction, or when a defect eigenvalue lies
+    below -eq_abs; its transfer function then comes from a solve against B
+    alone.  The state norm needs no check of its own: it is at most the
+    colligation norm.
     """
     d, c, b, a = blocks
     transfers = np.empty((len(d),) + theta.shape, dtype=complex)
@@ -807,11 +808,13 @@ def _pure_char_residual(blocks, norms: np.ndarray, pair: DefectPair | None,
             members = contractive[sel]
             basis_a = la.defect_basis(vecs_a[sel], keep_a[sel[0]])
             basis_as = la.defect_basis(vecs_as[sel], keep_as[sel[0]])
-            rhs = np.concatenate([b[members], op_as[sel] @ basis_as], -1)
+            d_char, c_char, b_char, _ = _char_blocks(a_star[sel], op_as[sel], op_a[sel],
+                                                     basis_as, basis_a)
+            rhs = np.concatenate([b[members], b_char], -1)
             x_b, x_char = (np.ascontiguousarray(x) for x in np.split(
                 resolvent_stack(a[members], rhs, pts), [b.shape[-1]], -1))
             transfers[members] = transfer_of_resolvent(d[members], c[members], x_b, pts)
-            phi = char_of_resolvent(a_star[sel], op_a[sel], basis_as, basis_a, x_char, pts)
+            phi = transfer_of_resolvent(d_char, c_char, x_char, pts)
             k = c[members] @ pinv_a[sel] @ basis_a
             m = adj(basis_as) @ pinv_as[sel] @ b[members]
             model = adj(fp) @ (k[:, None] @ phi @ m[:, None]) @ ep

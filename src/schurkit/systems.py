@@ -8,9 +8,9 @@ and is passive / isometric / co-isometric / conservative according to the
 class of its colligation matrix [D C; B A].  This module evaluates transfer
 functions on arrays of points of the open unit disk, runs the time-domain
 recursion, decides controllability / observability / simplicity, builds the
-characteristic colligation of a contraction, splits constants into pure and
-unitary parts, computes the defect functions of a simple conservative
-system, and searches for state-space unitary similarities.
+characteristic colligation of a contraction, whose transfer function is its
+characteristic function, computes the defect functions of a simple
+conservative system, and searches for state-space unitary similarities.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .blockparam import BlockMatrix
 from .contractions import Contraction
 from .errors import (
     DimMismatch,
-    NotContraction,
     NotSimpleConservative,
     OutsideDisk,
     RankInconsistency,
@@ -329,100 +328,29 @@ def discrete_system(d, c, b, a, tol: Tolerance = DEFAULT_TOL) -> DiscreteSystem:
     )
 
 
+def _char_blocks(a: np.ndarray, d_a: np.ndarray, d_astar: np.ndarray, u: np.ndarray,
+                 v: np.ndarray):
+    """(D, C, B, A) = (-V* A U, V* D_A*, D_A U, A*): the blocks of the
+    colligation [-A, D_A*; D_A, A*] restricted to the bases ``u`` and ``v``
+    of the defect spaces of A and A*.  The arguments are matrices, or
+    (K, ...) stacks for K contractions, giving stacked blocks."""
+    return -adj(v) @ a @ u, adj(v) @ d_astar, d_a @ u, adj(a)
+
+
 def char_colligation(a: Contraction) -> DiscreteSystem:
     """The conservative colligation [-A, D_A*; D_A, A*] restricted to the
     defect bases of A; its transfer function is the characteristic function
     of A, and it is simple exactly when A is completely non-unitary."""
-    u = a.defect_a.basis
-    v = a.defect_astar.basis
-    return discrete_system(
-        -adj(v) @ a.a @ u, adj(v) @ a.d_astar, a.d_a @ u, adj(a.a), a.tol
-    )
+    blocks = _char_blocks(a.a, a.d_a, a.d_astar, a.defect_a.basis, a.defect_astar.basis)
+    return discrete_system(*blocks, a.tol)
 
 
 def char_function(a: Contraction) -> SampledFunction:
-    """Characteristic function of A in the defect bases of A and A*."""
-
-    def evaluate(pts: np.ndarray) -> np.ndarray:
-        return char_stack(a.a, a.d_a, a.d_astar, a.defect_a.basis, a.defect_astar.basis, pts)
-
-    return SampledFunction(a.defect_a.dim, a.defect_astar.dim, evaluate)
-
-
-def char_stack(a: np.ndarray, d_a: np.ndarray, d_astar: np.ndarray, u: np.ndarray,
-               v: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """V* (-A U + lambda D_A* (I - lambda A*)^{-1} D_A U), the characteristic
-    function of A, on a 1-D array of P points; ``u`` and ``v`` are bases of
-    the defect spaces of A and A*.
-
-    ``U`` is applied before the solve, so the solve carries dim D_A
-    columns, not the state dimension.  The arguments are matrices, giving
-    a (P, dim D_A*, dim D_A) stack, or (K, ...) stacks for K contractions,
-    giving (K, P, ...).
-    """
-    return char_of_resolvent(a, d_astar, u, v, resolvent_stack(adj(a), d_a @ u, pts), pts)
-
-
-def char_of_resolvent(a: np.ndarray, d_astar: np.ndarray, u: np.ndarray, v: np.ndarray,
-                      x: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """V* (-A U + lambda D_A* X) on P points, from the stack X of
-    (I - lambda A*)^{-1} D_A U that :func:`resolvent_stack` returns; the
-    arguments are those of :func:`char_stack`, and ``x`` is contiguous."""
-    lam = pts[:, None, None]
-    a, d_astar, u, v = (m[..., None, :, :] for m in (a, d_astar, u, v))
-    return adj(v) @ (-a @ u + lam * (d_astar @ x))
-
-
-@dataclass(frozen=True)
-class PureSplit:
-    """Block-diagonalization of a contraction into pure and unitary parts.
-
-    Bases: ``dom_pure``/``dom_ker`` split the domain into the defect space
-    of the value and its kernel complement; ``cod_pure``/``cod_ker`` do the
-    same in the codomain.  ``offdiag_residual`` certifies block-diagonality.
-    """
-
-    dom_pure: Subspace
-    dom_ker: Subspace
-    cod_pure: Subspace
-    cod_ker: Subspace
-    pure: np.ndarray
-    unitary: np.ndarray
-    offdiag_residual: float
-
-
-def pure_part(theta0: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> PureSplit:
-    """Split a contractive constant into its pure block and unitary block."""
-    theta0 = la.cmatrix(theta0)
-    if not la.is_contraction(theta0, tol):
-        raise NotContraction("pure part is defined for contractions only")
-    dt = la.defect_of(theta0, tol)
-    dts = la.defect_of(theta0, tol, adjoint=True)
-    dom_pure, dom_ker = dt.space, dt.kernel
-    cod_pure, cod_ker = dts.space, dts.kernel
-    pure = adj(cod_pure.basis) @ theta0 @ dom_pure.basis
-    unitary = adj(cod_ker.basis) @ theta0 @ dom_ker.basis
-    off = max(
-        la.opnorm(adj(cod_ker.basis) @ theta0 @ dom_pure.basis),
-        la.opnorm(adj(cod_pure.basis) @ theta0 @ dom_ker.basis),
-    )
-    return PureSplit(dom_pure, dom_ker, cod_pure, cod_ker, pure, unitary, off)
-
-
-def pure_part_function(f: SampledFunction, tol: Tolerance = DEFAULT_TOL):
-    """Pointwise pure part of a Schur-class function.
-
-    The splitting bases come from f(0); the range of the defect of a
-    Schur-class value does not move with lambda, so one split serves the
-    whole disk.  Returns (split, pure function).
-    """
-    split = pure_part(f(0), tol)
-    ep, fp = split.dom_pure.basis, split.cod_pure.basis
-
-    def evaluate(pts: np.ndarray) -> np.ndarray:
-        return adj(fp) @ f.on(pts) @ ep
-
-    return split, SampledFunction(split.dom_pure.dim, split.cod_pure.dim, evaluate)
+    """Characteristic function of A in the defect bases of A and A*: the
+    transfer function of :func:`char_colligation`,
+    V* (-A U + lambda D_A* (I - lambda A*)^{-1} D_A U) with U and V the
+    bases.  Its solve carries dim D_A columns, not the state dimension."""
+    return char_colligation(a).sampled()
 
 
 @dataclass(frozen=True)

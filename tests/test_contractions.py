@@ -38,6 +38,23 @@ class TestDefect:
             assert resid <= 10 * la.DEFAULT_TOL.eq_abs
 
 
+class TestPower:
+    def test_high_power_of_unitary_diagonal(self):
+        # a first high power takes no stack depth, and every power is
+        # A @ A^{k-1} bit for bit, also when an extension starts from a
+        # cached power
+        phases = np.exp(1j * np.array([0.3, -1.1, 2.0]))
+        a, b = Contraction(np.diag(phases)), Contraction(np.diag(phases))
+        ref = [la.eye(3), a.a]
+        for _ in range(1600 - 1):
+            ref.append(a.a @ ref[-1])
+        assert np.array_equal(a.power(1600), ref[1600])
+        assert all(np.array_equal(a.power(k), ref[k]) for k in range(1601))
+        assert np.array_equal(b.power(700), ref[700])
+        assert np.array_equal(b.power(1600), ref[1600])
+        assert la.matnorm_diff(a.power(1600), np.diag(phases ** 1600)) <= 1e-11
+
+
 class TestCnu:
     def test_unitary_is_not(self, rng):
         assert not Contraction(la.haar_unitary(2, rng)).is_cnu()

@@ -14,7 +14,6 @@ from schurkit import (
     defect_functions,
     disk_grid,
     gamma_from_realization,
-    pure_part_function,
     random_conservative_system,
     reconstruct,
     schur_oracle,
@@ -49,7 +48,6 @@ def functions_of(sys):
         "transfer": theta,
         "char_function": char_function(Contraction(adj(sys.a))),
         "reconstruct": reconstruct(seq),
-        "pure_part_function": pure_part_function(theta)[1],
         "defect_phi": defects.phi,
         "defect_psi": defects.psi,
     }

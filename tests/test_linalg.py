@@ -80,13 +80,13 @@ class TestSubspaces:
             la.subspace_intersect(la.full_space(2), la.full_space(3))
 
     def test_projector_examples(self):
-        assert np.allclose(la.projector(la.subspace([[0], [1]])), np.diag([0.0, 1.0]))
-        assert np.allclose(la.projector(la.full_space(2)), np.eye(2))
+        assert np.allclose(la.subspace([[0], [1]]).projector(), np.diag([0.0, 1.0]))
+        assert np.allclose(la.full_space(2).projector(), np.eye(2))
         half = la.subspace(np.array([[1.0], [1.0]]) / np.sqrt(2))
-        assert np.allclose(la.projector(half), np.full((2, 2), 0.5))
+        assert np.allclose(half.projector(), np.full((2, 2), 0.5))
 
     def test_projector_idempotent_hermitian(self, rng):
-        p = la.projector(la.range_basis(random_matrix(rng, 5, 2)))
+        p = la.range_basis(random_matrix(rng, 5, 2)).projector()
         assert la.matnorm_diff(p @ p, p) <= la.DEFAULT_TOL.eq_abs
         assert la.matnorm_diff(p, adj(p)) <= la.DEFAULT_TOL.eq_abs
 

@@ -29,7 +29,7 @@ from schurkit import (
     unitarily_similar,
 )
 from schurkit import schur as schur_mod
-from schurkit.blockparam import decompose_kmx
+from schurkit.blockparam import decompose_kmx, shmulyan_transform, split_blocks
 from schurkit.errors import (
     InvalidSequence,
     SchurkitError,
@@ -46,11 +46,12 @@ from schurkit.schur import (
     is_unitary_parameter,
     verify_chain,
 )
-from schurkit.systems import intertwining_residual
+from schurkit.systems import DiscreteSystem, intertwining_residual
 from conftest import (
     blaschke_colligation,
     permutation_colligation,
     random_cnu,
+    random_contraction_matrix,
     random_matrix,
 )
 
@@ -225,6 +226,21 @@ class TestMoebiusCompose:
         gamma, nxt = oracle_step(theta)
         back = moebius_compose(gamma, nxt)
         assert grid_distance(back, theta, GRID) <= 1e-9
+
+    @pytest.mark.parametrize("shape", [(4, 2), (6, 1), (5, 3)])
+    def test_is_the_shmulyan_map_at_each_point(self, rng, shape):
+        # one implementation of the map: the stacked composition is the
+        # single-matrix transform of lambda F T(lambda) E*, bit for bit
+        gamma = random_contraction_matrix(rng, *shape, 0.8)
+        e, f = la.defect_of(gamma).space, la.defect_of(gamma, adjoint=True).space
+        full = random_contraction_matrix(rng, f.dim + 3, e.dim + 3, 0.9)
+        inner = DiscreteSystem(split_blocks(full, f.dim, e.dim))
+        pts = np.asarray(GRID)
+        values = inner.sampled().on(pts)
+        stacked = moebius_compose(gamma, inner.sampled()).on(pts)
+        for lam, t, q in zip(pts, values, stacked):
+            z = lam * (f.basis @ t @ adj(e.basis))
+            assert np.array_equal(q, shmulyan_transform(gamma, z)), lam
 
 
 class TestReconstruct:

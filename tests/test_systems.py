@@ -9,8 +9,6 @@ from schurkit import (
     defect_functions,
     discrete_system,
     disk_grid,
-    pure_part,
-    pure_part_function,
     random_conservative_system,
     unitarily_similar,
 )
@@ -23,7 +21,7 @@ from schurkit.errors import (
     ShapeMismatch,
 )
 from schurkit.linalg import adj
-from schurkit.systems import char_stack, grid_distance, intertwining_residual
+from schurkit.systems import _char_blocks, grid_distance, intertwining_residual, transfer_stack
 from conftest import permutation_colligation, random_cnu, random_contraction_matrix, random_matrix
 
 GRID = disk_grid()
@@ -259,53 +257,28 @@ class TestCharFunction:
                              ids=["rank-2", "rank-3", "rank-0"])
     def test_stack_restricts_the_solve_to_the_defect(self, rng, sigma):
         # the solve carries D_A U, dim D_A columns; the stacked function is
-        # the per-matrix one bit for bit and the characteristic colligation's
-        # transfer function to rounding, also when the defect is trivial
+        # the per-matrix one and the characteristic colligation's transfer
+        # function bit for bit, also when the defect is trivial
         cs = [Contraction(la.haar_unitary(4, rng) @ np.diag(sigma) @ la.haar_unitary(4, rng))
               for _ in range(3)]
         rank = sum(x < 1.0 for x in sigma)
         assert all(c.defect_a.dim == c.defect_astar.dim == rank for c in cs)
         pts = np.asarray(GRID)
-        stacked = char_stack(*(np.array([getattr(c, name) for c in cs]) for name in
-                               ("a", "d_a", "d_astar")),
-                             np.array([c.defect_a.basis for c in cs]),
-                             np.array([c.defect_astar.basis for c in cs]), pts)
+        blocks = _char_blocks(*(np.array([getattr(c, name) for c in cs]) for name in
+                                ("a", "d_a", "d_astar")),
+                              np.array([c.defect_a.basis for c in cs]),
+                              np.array([c.defect_astar.basis for c in cs]))
+        stacked = transfer_stack(*blocks, pts)
         assert stacked.shape == (3, len(pts), rank, rank)
         assert np.array_equal(stacked, np.array([char_function(c).on(pts) for c in cs]))
         for c, phi in zip(cs, stacked):
-            assert grid_distance(char_colligation(c).sampled(), phi, GRID) <= 1e-12
+            assert np.array_equal(char_colligation(c).sampled().on(pts), phi)
 
     def test_colligation_simple_iff_cnu(self, rng):
         a = Contraction(np.diag([0.5, np.exp(1j * 0.7)]))
         sigma = char_colligation(a)
         cls = sigma.classify()
         assert cls.conservative and not cls.simple
-
-
-class TestPurePart:
-    def test_mixed_diagonal(self):
-        theta = np.diag([0.5, np.exp(1j * 0.3)])
-        split = pure_part(theta)
-        assert np.allclose(np.abs(split.pure), [[0.5]])
-        assert np.allclose(np.abs(split.unitary), [[1.0]])
-        assert split.offdiag_residual <= 1e-12
-
-    def test_strict_contraction(self, rng):
-        theta = random_contraction_matrix(rng, 3, 3, 0.9)
-        split = pure_part(theta)
-        assert split.unitary.shape == (0, 0)
-        assert split.pure.shape == (3, 3)
-
-    def test_unitary_value(self, rng):
-        split = pure_part(la.haar_unitary(3, rng))
-        assert split.pure.shape == (0, 0)
-        assert la.is_unitary(split.unitary)
-
-    def test_pure_block_is_pure(self, rng):
-        theta = np.diag([1.0, 0.7, 0.2])
-        split = pure_part(theta)
-        s = np.linalg.svd(split.pure, compute_uv=False)
-        assert np.all(s < 1.0 - 1e-12)
 
 
 class TestPureProposition:
@@ -323,11 +296,13 @@ class TestPureProposition:
             assert state.defect_astar.dim == la.range_basis(sys.b).dim
             kmx = decompose_kmx(sys.block)
             phi = char_function(Contraction(adj(sys.a)))
-            split, pure = pure_part_function(sys.sampled())
-            ep, fp = split.dom_pure.basis, split.cod_pure.basis
+            # the split of Theta(0) serves the whole disk: the defect range
+            # of a Schur-class value does not move with lambda
+            ep = la.defect_of(d0).space.basis
+            fp = la.defect_of(d0, adjoint=True).space.basis
             for lam in GRID:
                 rhs = adj(fp) @ (kmx.k @ phi(lam) @ kmx.m) @ ep
-                assert la.matnorm_diff(pure(lam), rhs) <= 1e-9
+                assert la.matnorm_diff(adj(fp) @ sys.transfer(lam) @ ep, rhs) <= 1e-9
 
     def test_transfer_expansion(self, rng):
         # Theta(lam) = K Phi_{A*}(lam) M + D_K* X D_M for passive systems
