@@ -78,6 +78,10 @@ def adj(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-2, -1)
 
 
+# Largest entry moduli for which _gram_eigvalsh skips its scaling.
+_UNSCALED = (2.0 ** -200, 2.0 ** 200)
+
+
 def _gram_eigvalsh(m: np.ndarray):
     """The one spectral kernel of the norm helpers: ``(w, e)``, per matrix
     of a stack, the ascending eigenvalues ``w`` of the smaller Gram matrix
@@ -87,12 +91,23 @@ def _gram_eigvalsh(m: np.ndarray):
     or of 2^-1000 when that is larger, so that 2^-e stays finite; it brings
     the entries below 1 and the largest (past 2^-1000) to at least 1/2.
     Scaling by a power of two is exact, and it keeps norms from 1e-300 to
-    1e300 from underflowing or overflowing in the Gram.  The larger Gram
-    has the eigenvalues of the smaller one and |rows - cols| zeros.
-    ||M||^2 = 4^e max w.
+    1e300 from underflowing or overflowing in the Gram.  A matrix whose
+    largest entry modulus lies in [2^-200, 2^200] is not scaled (e = 0): the
+    entries of its Gram then lie within 2^-400 to n 2^400, where eigvalsh
+    neither underflows nor rescales, so it returns the same values, up to
+    the exact factor 4^e, as for the scaled matrix.  The rule is per matrix,
+    so a matrix of a stack still gets what it gets alone, and a stack whose
+    matrices all lie in the window makes none of the scaling calls.
+    The larger Gram has the eigenvalues of the smaller one and
+    |rows - cols| zeros.  ||M||^2 = 4^e max w.
     """
-    _, e = np.frexp(np.abs(m).max(axis=(-2, -1), initial=2.0 ** -1000))
-    m = m * np.ldexp(1.0, -e)[..., None, None]
+    top = np.abs(m).max(axis=(-2, -1), initial=2.0 ** -1000)
+    inside = (top >= _UNSCALED[0]) & (top <= _UNSCALED[1])
+    if inside.all():
+        e = 0
+    else:
+        e = np.where(inside, 0, np.frexp(top)[1])
+        m = m * np.ldexp(1.0, -e)[..., None, None]
     gram = adj(m) @ m if m.shape[-1] <= m.shape[-2] else m @ adj(m)
     return np.linalg.eigvalsh(gram), e
 

@@ -272,6 +272,17 @@ class TestNormKernel:
         assert np.all(np.abs(la.opnorm(scaled) - ref) <= 1e-14 * ref)
         assert np.all(np.abs(la._isometry_gap(unit) - _reference_gap(unit)) <= 1e-15)
 
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 4), (3, 7), (40, 40), (5, 11, 6, 6)])
+    def test_unscaled_window_matches_the_scaled_kernel(self, rng, shape):
+        # a matrix inside the window is not scaled, and gets the norm the
+        # exactly scaled matrix gets, times the same power of two
+        for k in (-200, -60, -1, 0, 1, 60, 199):
+            m = self._unit_norm(rng, shape) * 2.0 ** k
+            top = np.abs(m).max(axis=(-2, -1))
+            _, e = np.frexp(top)
+            scaled = la.opnorm(m * np.ldexp(1.0, -e)[..., None, None])
+            assert np.array_equal(la.opnorm(m), np.ldexp(scaled, e)), (shape, k)
+
     def test_predicates(self, rng):
         eq = la.DEFAULT_TOL.eq_abs
         u = la.haar_unitary(5, rng)
