@@ -80,10 +80,29 @@ def _defect_pair(g: np.ndarray, tol: Tolerance) -> DefectPair:
     return la.defect_of(g, tol), la.defect_of(g, tol, adjoint=True)
 
 
-# The oracle's circle and read-off disk (see _DividedEvaluator).
-_CIRCLE_POINTS = 160
-_CIRCLE = 0.8 * np.exp(2j * np.pi * np.arange(_CIRCLE_POINTS) / _CIRCLE_POINTS)
+# The oracle's circle rule and read-off disk (see _DividedEvaluator).
+_MIN_RADIUS = 0.8
+_GROWTH_BUDGET = 1e4
+_ALIAS_BOUND = 3.2e-16
 _READ_OFF_RADIUS = 0.65
+
+
+def _oracle_circle(n_max: int) -> np.ndarray:
+    """The N points of |w| = r that every divided level of an oracle run to
+    ``n_max`` parameters samples (see :class:`_DividedEvaluator`)."""
+    r = max(_MIN_RADIUS, _GROWTH_BUDGET ** (-1.0 / n_max)) if n_max > 0 else _MIN_RADIUS
+    n = 8 * int(np.ceil(np.log(_ALIAS_BOUND) / np.log(r) / 8))
+    return r * np.exp(2j * np.pi * np.arange(n) / n)
+
+
+class _OnCircle:
+    """An evaluator tagged with the circle the levels built on it sample."""
+
+    def __init__(self, fn, points: np.ndarray):
+        self.fn, self.points = fn, points
+
+    def __call__(self, pts: np.ndarray) -> np.ndarray:
+        return self.fn(pts)
 
 
 class _DividedEvaluator:
@@ -92,13 +111,22 @@ class _DividedEvaluator:
     ``cod`` of ``gamma``, so that unitary parts of gamma never enter a solve.
 
     A point's radius alone chooses its path.  A divided level samples the
-    circle |w| = r = 0.8 at N = 160 points once, from the previous level's,
-    reads points z inside the read-off disk (0 included: the plain mean) off
-    it by the trapezoidal Cauchy formula (1/N) sum_j f(w_j) w_j/(w_j - z), and
-    divides at all others.  Bounds: the mean aliases by r^N ~ 3e-16, the
-    read-off on the 0.6 ring by (0.6/r)^N ~ 1e-20; rounding grows like r^-n
-    at level n.  The last array that sampled theta is kept as well, so that
-    iterates sampled level by level on one grid sample each level once.
+    circle |w| = r at N points once, from the previous level's, reads points
+    z inside the read-off disk |z| < 0.65 (0 included: the plain mean) off it
+    by the trapezoidal Cauchy formula (1/N) sum_j f(w_j) w_j/(w_j - z), and
+    divides at all others.  The circle is the one of the function it divides
+    (``theta.eval_fn.points``), so every level of one oracle run shares it;
+    :func:`schur_oracle` chooses it from its depth n_max, and any other
+    function gets the circle of depth 0.  Rule: r is the smallest radius
+    >= 0.8 with r^-n_max <= 1e4, and N the smallest multiple of 8 with
+    r^N <= 3.2e-16; that is r = 0.8, N = 160 up to n_max = 41, and about
+    r = 0.91, N = 376 at n_max = 97.  Bounds: the Taylor coefficients of a
+    Schur-class function have norm <= 1, so the mean aliases by about
+    r^N / (1 - r^N) <= 3.2e-16 and the read-off on the 0.6 ring by
+    (0.6/r)^N <= 1e-20; rounding grows like r^-n at level n, so by at most
+    1e4 over the run.  The last array that sampled theta is kept as well,
+    so that iterates sampled level by level on one grid sample each level
+    once.
     """
 
     def __init__(self, theta: SampledFunction, gamma: np.ndarray, tol: Tolerance,
@@ -109,6 +137,8 @@ class _DividedEvaluator:
         self.theta, self.gamma, self.divide = theta, gamma, divide
         self.d_restr = adj(self.cod.basis) @ dds.op @ self.cod.basis
         self.j_restr = adj(self.dom.basis) @ dd.op_pinv @ self.dom.basis
+        points = getattr(theta.eval_fn, "points", None)
+        self.points = _oracle_circle(0) if points is None else points
         self.circle: np.ndarray | None = None
         self.last: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -121,9 +151,9 @@ class _DividedEvaluator:
         return value / pts[:, None, None] if self.divide else value
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
-        if np.array_equal(pts, _CIRCLE):
+        if np.array_equal(pts, self.points):
             if self.circle is None:
-                self.circle = self._core(_CIRCLE, self.theta.on(_CIRCLE))
+                self.circle = self._core(self.points, self.theta.on(self.points))
                 self.circle.flags.writeable = False
             return self.circle
         if self.last is not None and np.array_equal(pts, self.last[0]):
@@ -131,8 +161,8 @@ class _DividedEvaluator:
         inside = np.abs(pts) < (_READ_OFF_RADIUS if self.divide else 0.0)
         values = np.empty((pts.shape[0], self.cod.dim, self.dom.dim), dtype=complex)
         if inside.any():
-            kernel = 1.0 / (1.0 - pts[inside, None] / _CIRCLE) / _CIRCLE_POINTS
-            flat = kernel @ self(_CIRCLE).reshape(_CIRCLE_POINTS, -1)
+            kernel = 1.0 / (1.0 - pts[inside, None] / self.points) / len(self.points)
+            flat = kernel @ self(self.points).reshape(len(self.points), -1)
             values[inside] = flat.reshape((len(flat),) + values.shape[1:])
         if not inside.all():  # an array read off the circle alone is not kept
             values[~inside] = self._core(pts[~inside], self.theta.on(pts)[~inside])
@@ -315,7 +345,8 @@ def schur_oracle(theta: SampledFunction, n_max: int,
                  tol: Tolerance = DEFAULT_TOL) -> OracleChain:
     """Run the function-level algorithm up to ``n_max`` parameters.
 
-    Each parameter is the mean of its iterate's circle.  A step fails when
+    Each parameter is the mean of its iterate's circle, which the depth
+    ``n_max`` chooses (see :class:`_DividedEvaluator`).  A step fails when
     a rank decision breaks down, typically on a parameter at the edge of
     contractivity; the run then ends with the failing step in ``breakdown``.  The iterate after parameter ``n_max`` is not formed.
     """
@@ -324,7 +355,8 @@ def schur_oracle(theta: SampledFunction, n_max: int,
     iterates = [theta]
     terminated = False
     breakdown = None
-    current = theta
+    current = SampledFunction(theta.in_dim, theta.out_dim,
+                              _OnCircle(theta.eval_fn, _oracle_circle(n_max)))
     for n in range(n_max + 1):
         try:
             if n == n_max:

@@ -143,6 +143,31 @@ class TestOracleCircle:
         moduli = np.abs([g[0, 0] for g in oracle.params.gammas])
         assert np.max(np.abs(np.abs(classical) - moduli)) <= 1e-10
 
+    def test_deep_parameters_match_the_classical_algorithm(self):
+        # at depth 80 the circle widens past 0.8, whose growth 0.8^-80 ~ 6e7
+        # would eat the digits; the reference agrees with a 60-digit run to
+        # ~5e-16.  The terminal parameter, unitary, carries the most rounding
+        sys = random_conservative_system(80, 1, np.random.default_rng(0))
+        oracle = schur_oracle(sys.sampled(), 80)
+        assert abs(oracle.iterates[1].eval_fn.points[0]) > 0.8
+        steps = len(oracle.params)
+        series = checks.Colligation(sys.d, sys.c, sys.b, sys.a).taylor(steps)
+        classical = checks.classical_schur([c[0, 0] for c in series], steps)
+        assert len(classical) == steps == 81 and oracle.params.terminated
+        error = np.abs(np.abs(classical) - np.abs([g[0, 0] for g in oracle.params.gammas]))
+        assert np.max(error[:-1]) <= 1e-10
+        assert error[-1] <= 1e-9
+
+    @pytest.mark.parametrize("n_max, points", [(0, 160), (41, 160), (42, 168), (97, 376)])
+    def test_circle_is_chosen_from_the_depth(self, n_max, points):
+        # the smallest radius >= 0.8 whose growth r^-n_max stays within 1e4,
+        # with the fewest points (a multiple of 8) that alias below 3.2e-16
+        circle = schur_mod._oracle_circle(n_max)
+        r = abs(circle[0])
+        assert len(circle) == points and np.allclose(np.abs(circle), r, rtol=1e-15)
+        assert r ** -n_max <= 1e4 * (1 + 1e-12) and r ** points <= 3.2e-16 < r ** (points - 8)
+        assert r == 0.8 if n_max <= 41 else (0.999 * r) ** -n_max > 1e4
+
     def test_grid_outside_the_read_off_disk_is_divided_at_the_point(self):
         report = verify_chain(_chain(8, 1, 1), disk_grid((0.3, 0.95, 0.99)))
         assert report.ok
