@@ -295,13 +295,19 @@ def defect_stack(x: np.ndarray, tol: Tolerance = DEFAULT_TOL, adjoint: bool = Fa
     lowest eigenvalue of the shared decision.
     """
     w, v, keep, lowest = _defect_decision(x, tol, adjoint)
+    return (*_defect_ops(w, v, keep), v, keep, lowest)
+
+
+def _defect_ops(w: np.ndarray, v: np.ndarray, keep: np.ndarray):
+    """(op, op_pinv): the defect operators and their pseudo-inverses from
+    the decision ``(w, v, keep)`` of :func:`_defect_decision`."""
     s = np.where(keep, np.sqrt(w), 0.0)[..., None, :]
     op = (v * s) @ adj(v)
     op = (op + adj(op)) / 2.0
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep[..., None, :])
     op_pinv = (v * inv) @ adj(v)
     op_pinv = (op_pinv + adj(op_pinv)) / 2.0
-    return op, op_pinv, v, keep, lowest
+    return op, op_pinv
 
 
 def defect_basis(vecs: np.ndarray, keep: np.ndarray) -> np.ndarray:

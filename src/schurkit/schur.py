@@ -664,9 +664,27 @@ def verify_chain(chain: SchurChain, grid=None) -> ChainReport:
     stacked numpy call: one spectral-norm kernel call gives each member's
     unitarity and the colligation norms of the pure_char check, and one
     intertwining_residual call certifies the pairs of the stack; every other
-    pair's similarity is inf.  The transfer function of a member and the
-    characteristic function of its state share one solve of I - lambda A per
-    point.  A member whose state dimension differs from its neighbours' is
+    pair's similarity is inf.
+
+    A family is verified at the cost of one member per run.  A run is a
+    maximal sequence of consecutive members that are finite, fit the
+    iterate's io dimensions, pass the pure_char filters (contractive
+    colligation, definite defects), share D and are joined by finite
+    certificates; a correct family is one run.  Measured, per member and
+    pair: unitarity and similarity; for the first member of each run, its
+    anchor, and for every member outside a run: transfer_oracle and
+    pure_char, from one solve of I - lambda A per point shared by the
+    transfer and the characteristic function, and transfer_across_k of a
+    pair that a run does not join (plus the drift of member k when it is
+    not an anchor).  Bounded, for every other member: transfer_oracle,
+    transfer_across_k and pure_char are the anchor's measured value plus
+    proven terms from the certificates, the colligation norms and the
+    member's defect decompositions, each with the rounding term
+    16 eps (state_dim + io) rho^2 per member compared, rho = 1/(1 - |lambda|
+    nu) (see :func:`_pure_char_residual`).  A bound is at least the value
+    measuring its member would give, so a verdict can only become stricter.
+
+    A member whose state dimension differs from its neighbours' is
     reported, not raised: the similarities that pair it are inf.  So is a
     member whose input or output dimension differs from the iterate's: its
     transfer_oracle, pure_char and similarities are inf, as is every
@@ -739,31 +757,49 @@ def verify_chain(chain: SchurChain, grid=None) -> ChainReport:
         pure = np.full(len(family), np.inf)
         similarity = np.full(len(intertwiners), np.inf)
         transfers = np.zeros((len(family),) + aligned.shape, dtype=complex)
+        # per member its run's anchor and the bound on its distance to it,
+        # per pair the bound on its distance when both lie in one run
+        anchor = np.arange(len(family))
+        drift = np.zeros(len(family))
+        step = np.full(len(intertwiners), np.nan)
         for members, blocks in _state_groups(family, finite):
             norms, iso_gap, coiso_gap = la._norm_and_gaps(assemble_blocks(*blocks))
             unitarity[members] = np.maximum(iso_gap, coiso_gap)
-            if fits[members[0]]:
-                transfers[members], pure[members] = _pure_char_residual(
-                    blocks, norms, pair, aligned, pts, tol)
             # the pairs (k, k+1) of this group whose intertwiner maps its state
             # space to itself, as positions i of k in the group
             firsts = np.array([i for i in range(len(members) - 1)
                                if members[i + 1] == members[i] + 1
                                and intertwiners[members[i]].shape == blocks[3].shape[1:]],
                               dtype=int)
+            links = np.full(len(members) - 1, np.inf)
             if firsts.size:
                 ks = members[firsts]
-                similarity[ks] = intertwining_residual(
+                links[firsts] = similarity[ks] = intertwining_residual(
                     tuple(x[firsts] for x in blocks), tuple(x[firsts + 1] for x in blocks),
                     np.array([intertwiners[k] for k in ks]))
-        to_oracle = grid_distance(transfers, np.broadcast_to(aligned, transfers.shape), pts)
-        to_oracle[~fits] = np.inf
+            if fits[members[0]]:
+                transfers[members], pure[members], at, drift[members], steps = (
+                    _pure_char_residual(blocks, norms, links, pair, aligned, pts, tol))
+                anchor[members] = members[at]
+                joined = ~np.isnan(steps)
+                step[members[:-1][joined]] = steps[joined]
+        measured = fits & (anchor == np.arange(len(family)))
+        to_oracle = np.full(len(family), np.inf)
+        to_oracle[measured] = grid_distance(
+            transfers[measured], np.broadcast_to(aligned, transfers[measured].shape), pts)
+        to_oracle[fits] = to_oracle[anchor[fits]] + drift[fits]
+        # a pair split between runs: its anchors' distance plus the drift of
+        # k (member k+1 starts a run, so it is its own anchor)
+        split = np.flatnonzero(fits[:-1] & fits[1:] & np.isnan(step))
+        across_k = np.full(len(intertwiners), np.inf)
+        across_k[~np.isnan(step)] = step[~np.isnan(step)]
+        if split.size:
+            across_k[split] = grid_distance(transfers[anchor[split]], transfers[split + 1],
+                                            pts) + drift[split]
         for k in range(len(family)):
             report.add("unitarity", f"{n},{k}", unitarity[k])
             report.add("transfer_oracle", f"{n},{k}", to_oracle[k])
             report.add("pure_char", f"{n},{k}", pure[k])
-        across_k = grid_distance(transfers[:-1], transfers[1:], pts)
-        across_k[~(fits[:-1] & fits[1:])] = np.inf
         for k in range(len(family) - 1):
             report.add("transfer_across_k", f"{n},{k}", across_k[k])
             report.add("similarity", f"{n},{k}", similarity[k])
@@ -795,64 +831,155 @@ def _state_groups(family: list[DiscreteSystem], finite: np.ndarray):
                                  for blk in "dcba")
 
 
-def _pure_char_residual(blocks, norms: np.ndarray, pair: DefectPair | None,
-                        theta: np.ndarray, pts: np.ndarray, tol: Tolerance):
-    """Transfer functions and pure_char residuals of a stack of family
-    members whose io dimensions are the iterate's, from one solve of
-    I - lambda A per member: returns (transfers, residuals).
+def _frobenius(m: np.ndarray) -> np.ndarray:
+    """Frobenius norms of a stack: upper bounds of the spectral norms at
+    no spectral kernel call."""
+    return np.linalg.norm(m, axis=(-2, -1))
 
-    ``blocks`` are the members' stacked (d, c, b, a) and ``norms`` the
-    norms of their [D C; B A]; ``theta`` is the iterate's stack on ``pts`` and
-    ``pair`` the defect pair of its value at 0, None when either failed.
-    The residual compares the pure part of the iterate with the characteristic
-    function of A*, V* (-A* U + lambda D_A (I - lambda A)^{-1} D_A* U) with
-    U and V bases of the defect spaces of A* and A, conjugated by the
-    isometries K = C D_A^+ V and M = U* D_A*^+ B that the anchored
-    parametrization of the colligation provides.  The defect of A is the
-    adjoint defect of A*, and the reverse.  The characteristic function is
-    the transfer function of A*'s characteristic colligation, whose blocks
-    :func:`~schurkit.systems._char_blocks` gives; its state block is A, so
-    it shares the member's resolvent.  Members are stacked by the ranks
-    of D_A and D_A* so that their defect bases stack, and each rank group
-    makes one solve against [B | D_A* U]: its first io columns give the
-    transfer functions, the others the characteristic functions.  A
-    member's residual is inf, and no other member's, when ``pair`` is None,
-    when its colligation is no contraction, or when a defect eigenvalue lies
-    below -eq_abs; its transfer function then comes from a solve against B
-    alone.  The state norm needs no check of its own: it is at most the
-    colligation norm.
+
+# Constant of the rounding term of the anchor bounds (see _pure_char_residual).
+_ROUNDING = 16.0
+
+
+def _pure_char_residual(blocks, norms: np.ndarray, links: np.ndarray,
+                        pair: DefectPair | None, theta: np.ndarray, pts: np.ndarray,
+                        tol: Tolerance):
+    """Transfer functions and pure_char residuals of a stack of family
+    members whose io dimensions are the iterate's, measured on the grid for
+    one member per run and bounded for the others.
+
+    ``blocks`` are the members' stacked (d, c, b, a), ``norms`` the norms
+    nu of their [D C; B A] and ``links[i]`` the similarity certificate s of
+    members i and i+1 (inf when none); ``theta`` is the iterate's stack on
+    ``pts`` and ``pair`` the defect pair of its value at 0, None when either
+    failed.  Returns (transfers, residuals, anchors, drifts, steps): per
+    member its transfer function on ``pts`` (0 but for anchors), its
+    pure_char residual, the position of its run's anchor and a bound on
+    max |T - T_anchor| over the grid; per pair (i, i+1) of one run a bound
+    on max |T_i - T_{i+1}|, nan for a pair split between runs.
+
+    Runs.  A member is eligible when its colligation is a contraction (nu
+    <= 1 + eq_abs) and both defect eigenvalue sets lie above -eq_abs; a
+    run is a maximal sequence of eligible members, each joined to the next
+    by a finite certificate and an equal D.  The first member of a run, its
+    anchor, and every other member is its own run, is measured.  The
+    member's transfer function and the characteristic function of its state
+    share one solve of I - lambda A: members are stacked by the ranks of
+    D_A and D_A* so that their defect bases stack, and each rank group makes
+    one solve against [B | D_A* U]; its first io columns give the transfer
+    functions, the others the characteristic functions.  The residual
+    compares the pure part of the iterate with K phi M, phi the
+    characteristic function of A* (V* (-A* U + lambda D_A R D_A* U), the
+    transfer function of the colligation :func:`~schurkit.systems._char_blocks`
+    gives, whose state block is A) and K = C D_A^+ V, M = U* D_A*^+ B, with
+    U and V bases of the defect spaces of A* and A.  A member's residual is
+    inf, and no other member's, when ``pair`` is None or it is not
+    eligible; such a member's transfer function comes from a solve against
+    B alone.
+
+    Bounds.  With R = (I - lambda A)^{-1}, rho = 1/(1 - |lambda| nu) (inf
+    when |lambda| nu >= 1) and E_A = U A_i - A_{i+1} U, E_B = U B_i - B_{i+1},
+    E_C = C_i - C_{i+1} U, all of norm <= s_i, the exact identity
+    T_i - T_{i+1} = lambda [E_C R_i B_i + lambda C_{i+1} R_{i+1} E_A R_i B_i
+    + C_{i+1} R_{i+1} E_B] gives |T_i - T_{i+1}| <= b_i = |lambda| s_i
+    (rho_i nu_i + |lambda| nu_{i+1} rho_{i+1} rho_i nu_i + nu_{i+1} rho_{i+1}),
+    since nu bounds ||A||, ||B|| and ||C||.  With P_A = VV*, P_A* = UU* and
+    c = D + C D_A^+ A* D_A*^+ B, T - K phi M - c = lambda C (R - P_A R P_A*) B
+    exactly, of norm <= r = |lambda| rho nu (||C - C P_A|| + ||B - P_A* B||).
+    So member j of the run of anchor a has drift max over the grid of
+    sum_{a <= i < j} b_i + t_a + t_j, and pure_char(j) <= pure_char(a) +
+    max (drift terms + r_a + r_j) + ||F* (c_j - c_a) E||, with E and F the
+    bases of ``pair``; the norms of r and of the constants are Frobenius
+    norms, which bound the spectral ones.  The rounding term t = 16 eps (state_dim + io) rho^2
+    bounds the rounding of one member's measured transfer function and of
+    the bound's own products, so a bound is at least the measurement also
+    where a certificate is exactly 0.  A non-anchor takes its stacked
+    defect eighs and O(d^2 io) products, and no solve on the grid.
     """
     d, c, b, a = blocks
-    transfers = np.empty((len(d),) + theta.shape, dtype=complex)
+    transfers = np.zeros((len(d),) + theta.shape, dtype=complex)
     resid = np.full(len(d), np.inf)
-    unsolved = np.ones(len(d), dtype=bool)
+    contractive = np.flatnonzero(norms <= 1.0 + tol.eq_abs)
+    a_star = adj(a[contractive])
+    # D_A* and D_A: the defect and the adjoint defect of A*
+    w_as, vecs_as, keep_as, low_as = la._defect_decision(a_star, tol, adjoint=False)
+    w_a, vecs_a, keep_a, low_a = la._defect_decision(a_star, tol, adjoint=True)
+    definite = np.flatnonzero(np.minimum(low_a, low_as) >= -tol.eq_abs)
+    eligible = np.zeros(len(d), dtype=bool)
+    eligible[contractive[definite]] = True
+    joined = (eligible[:-1] & eligible[1:] & np.isfinite(links)
+              & np.array([np.array_equal(x, y) for x, y in zip(d[:-1], d[1:])], dtype=bool))
+    anchors = np.arange(len(d))
+    for i in np.flatnonzero(joined):
+        anchors[i + 1] = anchors[i]
+    is_anchor = anchors == np.arange(len(d))
+    unsolved = is_anchor.copy()
     if pair is not None:
         ep, fp = pair[0].space.basis, pair[1].space.basis
         target = adj(fp) @ theta @ ep
-        contractive = np.flatnonzero(norms <= 1.0 + tol.eq_abs)
-        a_star = adj(a[contractive])
-        # D_A* and D_A: the defect and the adjoint defect of A*
-        op_as, pinv_as, vecs_as, keep_as, low_as = la.defect_stack(a_star, tol)
-        op_a, pinv_a, vecs_a, keep_a, low_a = la.defect_stack(a_star, tol, adjoint=True)
-        definite = np.flatnonzero(np.minimum(low_a, low_as) >= -tol.eq_abs)
         ranks = zip(keep_a[definite].sum(-1), keep_as[definite].sum(-1))
         for sel in (definite[g] for g in _index_groups(ranks)):
+            sel = sel[is_anchor[contractive[sel]]]
+            if not sel.size:
+                continue
             members = contractive[sel]
+            op_as, pinv_as = la._defect_ops(w_as[sel], vecs_as[sel], keep_as[sel])
+            op_a, pinv_a = la._defect_ops(w_a[sel], vecs_a[sel], keep_a[sel])
             basis_a = la.defect_basis(vecs_a[sel], keep_a[sel[0]])
             basis_as = la.defect_basis(vecs_as[sel], keep_as[sel[0]])
-            d_char, c_char, b_char, _ = _char_blocks(a_star[sel], op_as[sel], op_a[sel],
+            d_char, c_char, b_char, _ = _char_blocks(a_star[sel], op_as, op_a,
                                                      basis_as, basis_a)
             rhs = np.concatenate([b[members], b_char], -1)
             x_b, x_char = (np.ascontiguousarray(x) for x in np.split(
                 resolvent_stack(a[members], rhs, pts), [b.shape[-1]], -1))
             transfers[members] = transfer_of_resolvent(d[members], c[members], x_b, pts)
             phi = transfer_of_resolvent(d_char, c_char, x_char, pts)
-            k = c[members] @ pinv_a[sel] @ basis_a
-            m = adj(basis_as) @ pinv_as[sel] @ b[members]
+            k = c[members] @ pinv_a @ basis_a
+            m = adj(basis_as) @ pinv_as @ b[members]
             model = adj(fp) @ (k[:, None] @ phi @ m[:, None]) @ ep
             resid[members] = la.stack_matnorm_diff(np.broadcast_to(target, model.shape),
                                                    model)
             unsolved[members] = False
     if unsolved.any():
         transfers[unsolved] = transfer_stack(*(x[unsolved] for x in blocks), pts)
-    return transfers, resid
+    drifts = np.zeros(len(d))
+    steps = np.full(len(d) - 1, np.nan)
+    if not joined.any():
+        return transfers, resid, anchors, drifts, steps
+    lam = np.abs(pts)
+    with np.errstate(divide="ignore"):
+        rho = np.where(lam * norms[:, None] < 1.0, 1.0 / (1.0 - lam * norms[:, None]), np.inf)
+    nr = norms[:, None] * rho
+    t = _ROUNDING * np.finfo(float).eps * (a.shape[-1] + max(b.shape[-1], c.shape[-2])) * rho**2
+    i = np.flatnonzero(joined)
+    bound = np.zeros((len(d), len(pts)))  # bound[j] = b_{j-1}, 0 where j starts a run
+    bound[i + 1] = lam * links[i, None] * (nr[i] + lam * nr[i + 1] * nr[i] + nr[i + 1])
+    steps[i] = (bound[i + 1] + t[i] + t[i + 1]).max(-1)
+    cum = np.cumsum(bound, axis=0)
+    member = np.flatnonzero(~is_anchor)
+    own = anchors[member]
+    excess = cum[member] - cum[own] + t[own] + t[member]
+    drifts[member] = excess.max(-1)
+    if pair is None:
+        return transfers, resid, anchors, drifts, steps
+    # the constant c and the defect parts r of the members of runs
+    pos = np.full(len(d), -1)
+    pos[contractive] = np.arange(len(contractive))
+    runs = np.flatnonzero(~is_anchor | np.append(joined, False))
+    q = pos[runs]
+    # in the eigenbases, at O(d^2 io) each: C V, V_* B, C D_A^+ and D_A*^+ B
+    cv = c[runs] @ vecs_a[q]
+    vb = adj(vecs_as[q]) @ b[runs]
+    inv_a, inv_as = (np.where(keep[q], 1.0 / np.sqrt(np.where(keep[q], w[q], 1.0)), 0.0)
+                     for w, keep in ((w_a, keep_a), (w_as, keep_as)))
+    const = d[runs] + ((cv * inv_a[:, None, :]) @ adj(vecs_a[q])) @ a_star[q] @ (
+        vecs_as[q] @ (vb * inv_as[:, :, None]))
+    off = (_frobenius(c[runs] - (cv * keep_a[q][:, None, :]) @ adj(vecs_a[q]))
+           + _frobenius(b[runs] - vecs_as[q] @ (vb * keep_as[q][:, :, None])))
+    r = np.zeros((len(d), len(pts)))
+    r[runs] = lam * nr[runs] * off[:, None]
+    at = np.full(len(d), -1)
+    at[runs] = np.arange(len(runs))
+    shift = _frobenius(adj(fp) @ (const[at[member]] - const[at[own]]) @ ep)
+    resid[member] = resid[own] + (excess + r[own] + r[member]).max(-1) + shift
+    return transfers, resid, anchors, drifts, steps

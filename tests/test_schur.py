@@ -429,11 +429,13 @@ class TestIterateSystems:
 
 
 def member_reference(chain) -> dict:
-    """The unitarity, transfer and similarity residuals of verify_chain,
-    computed member by member from public functions on the default grid;
-    a similarity whose intertwiner does not fit its pair is left out."""
+    """The unitarity, transfer, similarity and pure_char residuals of
+    verify_chain, computed member by member from public functions on the
+    default grid; a similarity whose intertwiner does not fit its pair is
+    left out, and so is the pure_char of a member without KMX parameters."""
     pts = np.asarray(GRID)
     seq = chain.params
+    tol = chain.source.tol
     oracle = schur_oracle(chain.source.sampled(), len(seq) - 1)
     ref = {}
     for j, family in enumerate(chain.families[: len(oracle.iterates) - 1]):
@@ -441,15 +443,52 @@ def member_reference(chain) -> dict:
         omega = adj(seq.doms[n]) @ oracle.doms[n]
         psi = adj(seq.codoms[n]) @ oracle.codoms[n]
         aligned = psi @ oracle.iterates[n].on(pts) @ adj(omega)
+        value = psi @ oracle.iterates[n](0) @ adj(omega)
+        ep = la.defect_of(value, tol).space.basis
+        fp = la.defect_of(value, tol, adjoint=True).space.basis
         for k, s in enumerate(family):
             ref[f"unitarity[{n},{k}]"] = la.unitarity_residual(s.colligation())
             ref[f"transfer_oracle[{n},{k}]"] = grid_distance(s.sampled(), aligned, pts)
+            try:
+                kmx = decompose_kmx(s.block, tol)
+            except SchurkitError:
+                continue
+            phi = char_function(Contraction(adj(s.a), tol))
+            ref[f"pure_char[{n},{k}]"] = la.stack_matnorm_diff(
+                adj(fp) @ aligned @ ep, adj(fp) @ (kmx.k @ phi.on(pts) @ kmx.m) @ ep)
         for k, (s, t) in enumerate(zip(family, family[1:])):
             ref[f"transfer_across_k[{n},{k}]"] = grid_distance(s.sampled(), t.sampled(), pts)
             u = _lattice_intertwiner(chain, j, k)
             if u.shape == (t.state_dim, s.state_dim):
                 ref[f"similarity[{n},{k}]"] = intertwining_residual(s, t, u)
     return ref
+
+
+def _measured(key: str) -> bool:
+    """Whether verify_chain measures ``key`` in a chain whose every family
+    is one run: unitarity and similarity everywhere, transfer_oracle and
+    pure_char at the anchor k = 0; the rest are anchor-plus-certificate
+    bounds."""
+    kind, detail = key[:-1].split("[")
+    return kind in ("unitarity", "similarity") or (
+        kind in ("transfer_oracle", "pure_char") and detail.endswith(",0"))
+
+
+def _assert_only_family_moves(report: dict, base: dict, ref: dict, n: int, own: set):
+    """``report`` of a chain whose family ``n`` was tampered with, against
+    ``base`` of the chain as built: the keys are the same, no residual
+    outside family n moves, and inside it every residual but ``own`` is
+    measured or bounded afresh, so it lies between the member-by-member
+    reference ``ref`` of its untouched members and its threshold; unitarity
+    and similarity, measured per member and pair, do not move."""
+    assert list(report) == list(base)
+    for key, value in report.items():
+        if key in own:
+            continue
+        if f"[{n}," not in key or key.startswith(("unitarity[", "similarity[")):
+            assert value == base[key], key
+        else:
+            assert ref[key] <= value <= CHAIN_THRESHOLDS[key.split("[")[0]], key
 
 
 def _direct_sum_with_rotation(s, angle: float):
@@ -465,21 +504,30 @@ def _direct_sum_with_rotation(s, angle: float):
 
 
 class TestVerifyChain:
-    @pytest.mark.parametrize("state_dim, io_dim", [(6, 1), (8, 2), (3, 5), (1, 1)])
-    def test_residuals_equal_member_by_member_reference(self, state_dim, io_dim):
-        # each family is checked as one stack; every residual must be the
-        # one its member gives alone, bit for bit
+    @pytest.mark.parametrize("state_dim, io_dim", [(6, 1), (8, 2), (3, 5), (1, 1), (10, 1),
+                                                   (40, 4)])
+    def test_residuals_bound_the_member_by_member_reference(self, state_dim, io_dim):
+        # each family is one run: what is measured is, bit for bit, what its
+        # member gives alone, and every bound lies between that and the
+        # threshold of its kind
         for seed in range(5):
             chain = build_chain(random_conservative_system(
                 state_dim, io_dim, np.random.default_rng(seed)))
             ref = member_reference(chain)
             got = {key: value for key, value in verify_chain(chain).residuals.items()
-                   if key.startswith(("unitarity[", "transfer_", "similarity["))}
-            assert got == ref
+                   if key.startswith(("unitarity[", "transfer_", "similarity[", "pure_char["))}
+            assert list(got) == [key for key in got if key in ref] and set(ref) == set(got)
+            for key, value in got.items():
+                if _measured(key):
+                    assert value == ref[key], (seed, key)
+                else:
+                    kind = key.split("[")[0]
+                    assert ref[key] <= value <= CHAIN_THRESHOLDS[kind], (seed, key)
 
     def test_ragged_family_is_reported(self):
         # a member on a larger state space cannot stack with its family: it
-        # is checked on its own, and only the similarities that pair it fail
+        # is checked on its own, only the similarities that pair it fail, and
+        # it splits its family's run
         chain = build_chain(random_conservative_system(6, 1, np.random.default_rng(2)))
         family = [list(f) for f in chain.families]
         n, k = 2, 1
@@ -494,12 +542,15 @@ class TestVerifyChain:
         for key in as_alone:
             assert report[key] == ref[key]
         assert report[f"pure_char[{n},{k}]"] <= CHAIN_THRESHOLDS["pure_char"]
-        own = as_alone + [f"pure_char[{n},{k}]",
-                          f"similarity[{n},{k - 1}]", f"similarity[{n},{k}]"]
-        base = verify_chain(chain).residuals
-        assert list(report) == list(base)
-        assert {key: v for key, v in report.items() if key not in own} == {
-            key: v for key, v in base.items() if key not in own}
+        # the family splits into runs {0}, {1} and {2, ...}: members 0 and 2
+        # are anchors now, measured, and the rest bounded from member 2
+        for key in (f"transfer_oracle[{n},0]", f"transfer_oracle[{n},{k + 1}]",
+                    f"pure_char[{n},{k + 1}]"):
+            assert report[key] == ref[key]
+        own = set(as_alone) | {f"pure_char[{n},{k}]",
+                               f"similarity[{n},{k - 1}]", f"similarity[{n},{k}]"}
+        _assert_only_family_moves(report, verify_chain(chain).residuals,
+                                  member_reference(chain), n, own)
 
     def test_square_anchor(self):
         report = verify_chain(build_chain(permutation_colligation()))
@@ -646,8 +697,9 @@ class TestVerifyChain:
 
     # (svd, eigvalsh) calls of verify_chain per case: every norm is an
     # eigvalsh, one of them termination_match's, and the SVDs are the
-    # oracle's unitary-parameter tests
-    NORM_KERNEL_CALLS = {(6, 2, 0): (5, 34), (8, 1, 1): (10, 94)}
+    # oracle's unitary-parameter tests; a family in one run takes two norm
+    # calls on the grid, its anchor's pure_char and transfer_oracle
+    NORM_KERNEL_CALLS = {(6, 2, 0): (5, 32), (8, 1, 1): (10, 87)}
 
     @pytest.mark.parametrize("state_dim, io_dim, seed, solves, svds", [
         (6, 2, 0, 15, 54),
@@ -655,9 +707,9 @@ class TestVerifyChain:
     ])
     def test_verify_solves_each_member_stack_once(self, monkeypatch, state_dim, io_dim,
                                                   seed, solves, svds):
-        # each family's members are factored once per point: the transfer
-        # functions and the characteristic functions share one solve, and
-        # the state norm takes no kernel call of its own.  ``solves`` and
+        # each family is factored once per point, for its anchor alone: the
+        # transfer function and the characteristic function share one solve,
+        # and the state norm takes no kernel call of its own.  ``solves`` and
         # ``svds`` are the counts when both were made per family, every norm
         # was an SVD and the oracle sampled each level's quadrature circle
         # twice, one solve more per level past the source
@@ -679,11 +731,30 @@ class TestVerifyChain:
                           "eigvalsh": eigvalsh_calls}
         assert svd_calls + eigvalsh_calls < svds - families
 
+    @pytest.mark.parametrize("state_dim, io_dim, seed", [(8, 1, 1), (10, 1, 2), (40, 4, 3)])
+    def test_one_grid_solve_per_run(self, monkeypatch, state_dim, io_dim, seed):
+        # a family of n + 1 members is one run: verify_chain factors
+        # I - lambda A on the grid for one member per family, however large
+        # the families are; the source and each oracle level solve twice,
+        # on the circle and at the grid points outside the read-off disk
+        chain = _chain(state_dim, io_dim, seed)
+        shapes, solve = [], np.linalg.solve
+
+        def recording(a, b):
+            shapes.append(a.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        assert verify_chain(chain).ok
+        members = [shape[0] for shape in shapes if len(shape) == 4]
+        assert members == [1] * len(chain.families)
+        assert len(shapes) - len(members) == 2 * len(chain.params)
+
     def test_member_with_other_io_dims_is_reported(self):
         # member 0 of family 1 replaced by a system on the same state space
         # with io dims 3 instead of 2: its transfer_oracle, pure_char and
         # similarity are inf, as is the transfer_across_k that pairs it;
-        # its unitarity is its own, and no other residual changes
+        # its unitarity is its own, and no residual of another family moves
         chain = build_chain(random_conservative_system(4, 2, np.random.default_rng(0)))
         odd = random_conservative_system(2, 3, np.random.default_rng(5))
         family = [list(f) for f in chain.families]
@@ -696,17 +767,18 @@ class TestVerifyChain:
         assert {k: v for k, v in report.items() if k in failed} == dict.fromkeys(
             failed, float("inf"))
         assert report["unitarity[1,0]"] == la.unitarity_residual(odd.colligation())
-        own = failed | {"unitarity[1,0]"}
-        assert list(report) == list(base)
-        assert {k: v for k, v in report.items() if k not in own} == {
-            k: v for k, v in base.items() if k not in own}
+        # member 1 is its run's anchor now, and measured
+        ref = member_reference(chain)
+        assert report["transfer_oracle[1,1]"] == ref["transfer_oracle[1,1]"]
+        _assert_only_family_moves(report, base, ref, 1, failed | {"unitarity[1,0]"})
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_member_with_non_finite_blocks_is_reported(self, bad):
         # a non-finite entry in member 0 of family 1: LAPACK would not
         # converge on its blocks, so no kernel sees them; its unitarity,
         # transfer_oracle, pure_char, and the transfer_across_k and
-        # similarity that pair it are inf, and no other residual changes
+        # similarity that pair it are inf, and no residual of another family
+        # moves
         chain = build_chain(random_conservative_system(8, 2, np.random.default_rng(3)))
         family = [list(f) for f in chain.families]
         victim = family[0][0]
@@ -717,16 +789,15 @@ class TestVerifyChain:
         base = verify_chain(chain).residuals
         failed = {"unitarity[1,0]", "transfer_oracle[1,0]", "pure_char[1,0]",
                   "transfer_across_k[1,0]", "similarity[1,0]"}
-        assert list(report) == list(base)
         assert {k: v for k, v in report.items() if k in failed} == dict.fromkeys(
             failed, float("inf"))
-        assert {k: v for k, v in report.items() if k not in failed} == {
-            k: v for k, v in base.items() if k not in failed}
+        _assert_only_family_moves(report, base, member_reference(chain), 1, failed)
 
     @pytest.mark.parametrize("state_dim, io_dim", [(6, 2), (8, 1)])
     def test_pure_char_matches_kmx_reference(self, monkeypatch, state_dim, io_dim):
-        # every pure_char residual equals its definition through the KMX
-        # parameters of the member's colligation; a member scaled by 1.01
+        # every measured pure_char residual equals its definition through the
+        # KMX parameters of the member's colligation, and every bound lies
+        # between that and the threshold; a member scaled by 1.01
         # has a contractive state but no contractive colligation: inf
         sys = random_conservative_system(state_dim, io_dim, np.random.default_rng(1))
         chain = build_chain(sys)
@@ -736,9 +807,9 @@ class TestVerifyChain:
         family[-1][0] = discrete_system(*(1.01 * blk for blk in (victim.d, victim.c,
                                                                   victim.b, victim.a)))
         residual = schur_mod._pure_char_residual
-        expected = []
+        expected, is_anchor = [], []
 
-        def with_reference(blocks, colligations, pair, theta, pts, tol):
+        def with_reference(blocks, colligations, links, pair, theta, pts, tol):
             for s in (discrete_system(*member) for member in zip(*blocks)):
                 try:
                     kmx = decompose_kmx(s.block, tol)
@@ -748,15 +819,54 @@ class TestVerifyChain:
                         adj(fp) @ theta @ ep, adj(fp) @ (kmx.k @ phi.on(pts) @ kmx.m) @ ep))
                 except SchurkitError:
                     expected.append(float("inf"))
-            return residual(blocks, colligations, pair, theta, pts, tol)
+            got = residual(blocks, colligations, links, pair, theta, pts, tol)
+            is_anchor.extend(got[2] == np.arange(len(got[2])))
+            return got
 
         monkeypatch.setattr(schur_mod, "_pure_char_residual", with_reference)
         report = verify_chain(dataclasses.replace(chain, families=family))
         reported = [v for k, v in report.residuals.items() if k.startswith("pure_char[")]
         assert len(reported) == sum(len(f) for f in family)
-        assert reported == expected
+        for value, want, measured in zip(reported, expected, is_anchor):
+            if measured:
+                assert value == want
+            else:
+                assert want <= value <= CHAIN_THRESHOLDS["pure_char"]
+        # the victim is a run of its own, and member 1 anchors the rest
+        assert is_anchor.count(True) == len(family) + 1
         assert report.residuals[f"pure_char[{len(family)},0]"] == float("inf")
         assert reported.count(float("inf")) == 1
+
+    @pytest.mark.parametrize("tamper", ["shift", "rotate"])
+    @pytest.mark.parametrize("state_dim, io_dim, seed, n, k", [(8, 2, 3, 2, 1), (10, 1, 0, 4, 3)])
+    def test_tampered_member_is_caught(self, tamper, state_dim, io_dim, seed, n, k):
+        # member k >= 1 with 1e-3 added to its B, which leaves its run and is
+        # measured, or with B and A turned by a state rotation of angle 1e-3,
+        # which keeps its colligation unitary and its place in the run: the
+        # certificates that pair it fail, and so do its transfer residuals,
+        # measured or bounded
+        chain = _chain(state_dim, io_dim, seed)
+        family = [list(f) for f in chain.families]
+        victim = family[n - 1][k]
+        if tamper == "shift":
+            b, a = victim.b + 1e-3, victim.a
+        else:
+            turn = np.ones(victim.state_dim, dtype=complex)
+            turn[0] = np.exp(1e-3j)
+            b, a = turn[:, None] * victim.b, turn[:, None] * victim.a
+        family[n - 1][k] = discrete_system(victim.d, victim.c, b, a)
+        tampered = dataclasses.replace(chain, families=family)
+        report = verify_chain(tampered)
+        failures = report.failures()
+        assert not report.ok
+        for key in (f"similarity[{n},{k - 1}]", f"similarity[{n},{k}]",
+                    f"transfer_oracle[{n},{k}]", f"transfer_across_k[{n},{k - 1}]",
+                    f"transfer_across_k[{n},{k}]"):
+            assert key in failures, key
+        ref = member_reference(tampered)
+        for key in (f"transfer_oracle[{n},{k}]", f"transfer_across_k[{n},{k}]"):
+            assert report.residuals[key] >= ref[key]
+        assert la.is_unitary(family[n - 1][k].colligation()) == (tamper == "rotate")
 
     def test_indefinite_defect_fails_its_member_alone(self):
         # scaled by 1 + 0.8e-9, a member passes both norm checks at eq_abs,
@@ -769,10 +879,11 @@ class TestVerifyChain:
         assert la.opnorm(family[1][1].colligation()) <= 1 + la.DEFAULT_TOL.eq_abs
         report = verify_chain(dataclasses.replace(chain, families=family)).residuals
         base = verify_chain(chain).residuals
-        pure = {key: v for key, v in report.items() if key.startswith("pure_char[")}
-        assert pure.pop("pure_char[2,1]") == float("inf")
-        assert pure == {key: v for key, v in base.items()
-                        if key.startswith("pure_char[") and key != "pure_char[2,1]"}
+        assert report["pure_char[2,1]"] == float("inf")
+        own = {"pure_char[2,1]", "unitarity[2,1]", "transfer_oracle[2,1]",
+               "similarity[2,0]", "similarity[2,1]",
+               "transfer_across_k[2,0]", "transfer_across_k[2,1]"}
+        _assert_only_family_moves(report, base, member_reference(chain), 2, own)
 
     @pytest.mark.parametrize("entry", [2.0, np.nan])
     def test_iterate_without_defect_pair_fails_its_family(self, monkeypatch, entry):
