@@ -861,21 +861,20 @@ def _pure_char_residual(blocks, norms: np.ndarray, links: np.ndarray,
     Runs.  A member is eligible when its colligation is a contraction (nu
     <= 1 + eq_abs) and both defect eigenvalue sets lie above -eq_abs; a
     run is a maximal sequence of eligible members, each joined to the next
-    by a finite certificate and an equal D.  The first member of a run, its
-    anchor, and every other member is its own run, is measured.  The
-    member's transfer function and the characteristic function of its state
-    share one solve of I - lambda A: members are stacked by the ranks of
-    D_A and D_A* so that their defect bases stack, and each rank group makes
-    one solve against [B | D_A* U]; its first io columns give the transfer
+    by a finite certificate and an equal D; every other member is a run of
+    its own.  The first member of a run, its anchor, is measured: its
+    transfer function and the characteristic function of its state share
+    one solve of I - lambda A.  Anchors are stacked by the ranks of D_A and
+    D_A* so that their defect bases stack, and each rank group makes one
+    solve against [B | D_A* U]; its first io columns give the transfer
     functions, the others the characteristic functions.  The residual
     compares the pure part of the iterate with K phi M, phi the
     characteristic function of A* (V* (-A* U + lambda D_A R D_A* U), the
     transfer function of the colligation :func:`~schurkit.systems._char_blocks`
     gives, whose state block is A) and K = C D_A^+ V, M = U* D_A*^+ B, with
     U and V bases of the defect spaces of A* and A.  A member's residual is
-    inf, and no other member's, when ``pair`` is None or it is not
-    eligible; such a member's transfer function comes from a solve against
-    B alone.
+    inf when ``pair`` is None or it is not eligible; such an anchor's
+    transfer function comes from a solve against B alone.
 
     Bounds.  With R = (I - lambda A)^{-1}, rho = 1/(1 - |lambda| nu) (inf
     when |lambda| nu >= 1) and E_A = U A_i - A_{i+1} U, E_B = U B_i - B_{i+1},
@@ -890,11 +889,13 @@ def _pure_char_residual(blocks, norms: np.ndarray, links: np.ndarray,
     sum_{a <= i < j} b_i + t_a + t_j, and pure_char(j) <= pure_char(a) +
     max (drift terms + r_a + r_j) + ||F* (c_j - c_a) E||, with E and F the
     bases of ``pair``; the norms of r and of the constants are Frobenius
-    norms, which bound the spectral ones.  The rounding term t = 16 eps (state_dim + io) rho^2
-    bounds the rounding of one member's measured transfer function and of
-    the bound's own products, so a bound is at least the measurement also
-    where a certificate is exactly 0.  A non-anchor takes its stacked
-    defect eighs and O(d^2 io) products, and no solve on the grid.
+    norms, which bound the spectral ones.  Every term grows with |lambda|,
+    so each maximum over the grid is taken at its largest |lambda|.  The
+    rounding term t = 16 eps (state_dim + io) rho^2 bounds the rounding of
+    one member's measured transfer function and of the bound's own
+    products, so a bound is at least the measurement also where a
+    certificate is exactly 0.  A non-anchor takes its stacked defect eighs
+    and O(d^2 io) products, and no solve on the grid.
     """
     d, c, b, a = blocks
     transfers = np.zeros((len(d),) + theta.shape, dtype=complex)
@@ -908,11 +909,9 @@ def _pure_char_residual(blocks, norms: np.ndarray, links: np.ndarray,
     eligible = np.zeros(len(d), dtype=bool)
     eligible[contractive[definite]] = True
     joined = (eligible[:-1] & eligible[1:] & np.isfinite(links)
-              & np.array([np.array_equal(x, y) for x, y in zip(d[:-1], d[1:])], dtype=bool))
-    anchors = np.arange(len(d))
-    for i in np.flatnonzero(joined):
-        anchors[i + 1] = anchors[i]
-    is_anchor = anchors == np.arange(len(d))
+              & (d[:-1] == d[1:]).all(axis=(-2, -1)))
+    is_anchor = np.concatenate([[True], ~joined])
+    anchors = np.maximum.accumulate(np.where(is_anchor, np.arange(len(d)), 0))
     unsolved = is_anchor.copy()
     if pair is not None:
         ep, fp = pair[0].space.basis, pair[1].space.basis
@@ -946,20 +945,23 @@ def _pure_char_residual(blocks, norms: np.ndarray, links: np.ndarray,
     steps = np.full(len(d) - 1, np.nan)
     if not joined.any():
         return transfers, resid, anchors, drifts, steps
-    lam = np.abs(pts)
-    with np.errstate(divide="ignore"):
-        rho = np.where(lam * norms[:, None] < 1.0, 1.0 / (1.0 - lam * norms[:, None]), np.inf)
-    nr = norms[:, None] * rho
+    # every term grows with |lambda|, so its largest value on the grid is
+    # its value at the largest |lambda|
+    lam = np.abs(pts).max(initial=0.0)
+    rho = np.full(len(d), np.inf)
+    inside = lam * norms < 1.0
+    rho[inside] = 1.0 / (1.0 - lam * norms[inside])
+    nr = norms * rho
     t = _ROUNDING * np.finfo(float).eps * (a.shape[-1] + max(b.shape[-1], c.shape[-2])) * rho**2
     i = np.flatnonzero(joined)
-    bound = np.zeros((len(d), len(pts)))  # bound[j] = b_{j-1}, 0 where j starts a run
-    bound[i + 1] = lam * links[i, None] * (nr[i] + lam * nr[i + 1] * nr[i] + nr[i + 1])
-    steps[i] = (bound[i + 1] + t[i] + t[i + 1]).max(-1)
-    cum = np.cumsum(bound, axis=0)
+    pairs = np.zeros(len(d) - 1)
+    pairs[i] = lam * links[i] * (nr[i] + lam * nr[i + 1] * nr[i] + nr[i + 1])
+    steps[i] = np.nan_to_num(pairs[i] + t[i] + t[i + 1], nan=np.inf)
+    cum = np.concatenate([[0.0], np.cumsum(pairs)])
     member = np.flatnonzero(~is_anchor)
     own = anchors[member]
-    excess = cum[member] - cum[own] + t[own] + t[member]
-    drifts[member] = excess.max(-1)
+    excess = np.nan_to_num(cum[member] - cum[own] + t[own] + t[member], nan=np.inf)
+    drifts[member] = excess
     if pair is None:
         return transfers, resid, anchors, drifts, steps
     # the constant c and the defect parts r of the members of runs
@@ -970,16 +972,16 @@ def _pure_char_residual(blocks, norms: np.ndarray, links: np.ndarray,
     # in the eigenbases, at O(d^2 io) each: C V, V_* B, C D_A^+ and D_A*^+ B
     cv = c[runs] @ vecs_a[q]
     vb = adj(vecs_as[q]) @ b[runs]
-    inv_a, inv_as = (np.where(keep[q], 1.0 / np.sqrt(np.where(keep[q], w[q], 1.0)), 0.0)
-                     for w, keep in ((w_a, keep_a), (w_as, keep_as)))
+    inv_a = keep_a[q] / np.sqrt(np.where(keep_a[q], w_a[q], 1.0))
+    inv_as = keep_as[q] / np.sqrt(np.where(keep_as[q], w_as[q], 1.0))
     const = d[runs] + ((cv * inv_a[:, None, :]) @ adj(vecs_a[q])) @ a_star[q] @ (
         vecs_as[q] @ (vb * inv_as[:, :, None]))
     off = (_frobenius(c[runs] - (cv * keep_a[q][:, None, :]) @ adj(vecs_a[q]))
            + _frobenius(b[runs] - vecs_as[q] @ (vb * keep_as[q][:, :, None])))
-    r = np.zeros((len(d), len(pts)))
-    r[runs] = lam * nr[runs] * off[:, None]
+    r = np.zeros(len(d))
+    r[runs] = lam * nr[runs] * off
     at = np.full(len(d), -1)
     at[runs] = np.arange(len(runs))
     shift = _frobenius(adj(fp) @ (const[at[member]] - const[at[own]]) @ ep)
-    resid[member] = resid[own] + (excess + r[own] + r[member]).max(-1) + shift
+    resid[member] = resid[own] + np.nan_to_num(excess + r[own] + r[member], nan=np.inf) + shift
     return transfers, resid, anchors, drifts, steps
