@@ -465,10 +465,9 @@ def member_reference(chain) -> dict:
 
 
 def _measured(key: str) -> bool:
-    """Whether verify_chain measures ``key`` in a chain whose every family
-    is one run: unitarity and similarity everywhere, transfer_oracle and
-    pure_char at the anchor k = 0; the rest are anchor-plus-certificate
-    bounds."""
+    """Whether verify_chain measures ``key`` of a family that is one run:
+    unitarity and similarity everywhere, transfer_oracle and pure_char at
+    the anchor k = 0; the rest are anchor-plus-certificate bounds."""
     kind, detail = key[:-1].split("[")
     return kind in ("unitarity", "similarity") or (
         kind in ("transfer_oracle", "pure_char") and detail.endswith(",0"))
@@ -504,12 +503,13 @@ def _direct_sum_with_rotation(s, angle: float):
 
 
 class TestVerifyChain:
-    @pytest.mark.parametrize("state_dim, io_dim", [(6, 1), (8, 2), (3, 5), (1, 1), (10, 1),
+    @pytest.mark.parametrize("state_dim, io_dim", [(6, 1), (8, 2), (3, 5), (1, 1), (16, 1),
                                                    (40, 4)])
     def test_residuals_bound_the_member_by_member_reference(self, state_dim, io_dim):
-        # each family is one run: what is measured is, bit for bit, what its
-        # member gives alone, and every bound lies between that and the
-        # threshold of its kind
+        # each family on 12 or more state dimensions is one run, and every
+        # member of a smaller one is measured: what is measured is, bit for
+        # bit, what its member gives alone, and every bound lies between that
+        # and the threshold of its kind
         for seed in range(5):
             chain = build_chain(random_conservative_system(
                 state_dim, io_dim, np.random.default_rng(seed)))
@@ -517,8 +517,10 @@ class TestVerifyChain:
             got = {key: value for key, value in verify_chain(chain).residuals.items()
                    if key.startswith(("unitarity[", "transfer_", "similarity[", "pure_char["))}
             assert list(got) == [key for key in got if key in ref] and set(ref) == set(got)
+            small = {n for n, f in enumerate(chain.families, 1)
+                     if f[0].state_dim < schur_mod._RUN_STATE_DIM}
             for key, value in got.items():
-                if _measured(key):
+                if _measured(key) or int(key.split("[")[1].split(",")[0]) in small:
                     assert value == ref[key], (seed, key)
                 else:
                     kind = key.split("[")[0]
@@ -697,9 +699,8 @@ class TestVerifyChain:
 
     # (svd, eigvalsh) calls of verify_chain per case: every norm is an
     # eigvalsh, one of them termination_match's, and the SVDs are the
-    # oracle's unitary-parameter tests; a family in one run takes two norm
-    # calls on the grid, its anchor's pure_char and transfer_oracle
-    NORM_KERNEL_CALLS = {(6, 2, 0): (5, 32), (8, 1, 1): (10, 87)}
+    # oracle's unitary-parameter tests; these states are too small for runs
+    NORM_KERNEL_CALLS = {(6, 2, 0): (5, 34), (8, 1, 1): (10, 94)}
 
     @pytest.mark.parametrize("state_dim, io_dim, seed, solves, svds", [
         (6, 2, 0, 15, 54),
@@ -707,8 +708,8 @@ class TestVerifyChain:
     ])
     def test_verify_solves_each_member_stack_once(self, monkeypatch, state_dim, io_dim,
                                                   seed, solves, svds):
-        # each family is factored once per point, for its anchor alone: the
-        # transfer function and the characteristic function share one solve,
+        # each family's members are factored once per point: the transfer
+        # functions and the characteristic functions share one solve,
         # and the state norm takes no kernel call of its own.  ``solves`` and
         # ``svds`` are the counts when both were made per family, every norm
         # was an SVD and the oracle sampled each level's quadrature circle
@@ -731,12 +732,13 @@ class TestVerifyChain:
                           "eigvalsh": eigvalsh_calls}
         assert svd_calls + eigvalsh_calls < svds - families
 
-    @pytest.mark.parametrize("state_dim, io_dim, seed", [(8, 1, 1), (10, 1, 2), (40, 4, 3)])
+    @pytest.mark.parametrize("state_dim, io_dim, seed", [(16, 1, 1), (24, 1, 2), (40, 4, 3)])
     def test_one_grid_solve_per_run(self, monkeypatch, state_dim, io_dim, seed):
-        # a family of n + 1 members is one run: verify_chain factors
-        # I - lambda A on the grid for one member per family, however large
-        # the families are; the source and each oracle level solve twice,
-        # on the circle and at the grid points outside the read-off disk
+        # a family of n + 1 members on 12 or more state dimensions is one
+        # run: verify_chain factors I - lambda A on the grid for one member,
+        # however large the family is; on smaller states for every member.
+        # The source and each oracle level solve twice, on the circle and at
+        # the grid points outside the read-off disk
         chain = _chain(state_dim, io_dim, seed)
         shapes, solve = [], np.linalg.solve
 
@@ -747,7 +749,9 @@ class TestVerifyChain:
         monkeypatch.setattr(np.linalg, "solve", recording)
         assert verify_chain(chain).ok
         members = [shape[0] for shape in shapes if len(shape) == 4]
-        assert members == [1] * len(chain.families)
+        assert members == [1 if f[0].state_dim >= schur_mod._RUN_STATE_DIM else len(f)
+                           for f in chain.families]
+        assert 1 in members
         assert len(shapes) - len(members) == 2 * len(chain.params)
 
     def test_member_with_other_io_dims_is_reported(self):
@@ -793,7 +797,7 @@ class TestVerifyChain:
             failed, float("inf"))
         _assert_only_family_moves(report, base, member_reference(chain), 1, failed)
 
-    @pytest.mark.parametrize("state_dim, io_dim", [(6, 2), (8, 1)])
+    @pytest.mark.parametrize("state_dim, io_dim", [(6, 2), (8, 1), (16, 2)])
     def test_pure_char_matches_kmx_reference(self, monkeypatch, state_dim, io_dim):
         # every measured pure_char residual equals its definition through the
         # KMX parameters of the member's colligation, and every bound lies
@@ -832,13 +836,15 @@ class TestVerifyChain:
                 assert value == want
             else:
                 assert want <= value <= CHAIN_THRESHOLDS["pure_char"]
-        # the victim is a run of its own, and member 1 anchors the rest
-        assert is_anchor.count(True) == len(family) + 1
+        # a family on 12 or more state dimensions is one run; on smaller
+        # states, where the victim lies, every member is measured
+        assert is_anchor.count(True) == sum(1 if f[0].state_dim >= schur_mod._RUN_STATE_DIM
+                                            else len(f) for f in family)
         assert report.residuals[f"pure_char[{len(family)},0]"] == float("inf")
         assert reported.count(float("inf")) == 1
 
     @pytest.mark.parametrize("tamper", ["shift", "rotate"])
-    @pytest.mark.parametrize("state_dim, io_dim, seed, n, k", [(8, 2, 3, 2, 1), (10, 1, 0, 4, 3)])
+    @pytest.mark.parametrize("state_dim, io_dim, seed, n, k", [(16, 2, 3, 2, 1), (24, 1, 0, 4, 3)])
     def test_tampered_member_is_caught(self, tamper, state_dim, io_dim, seed, n, k):
         # member k >= 1 with 1e-3 added to its B, which leaves its run and is
         # measured, or with B and A turned by a state rotation of angle 1e-3,
