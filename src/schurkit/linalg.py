@@ -91,22 +91,24 @@ def _gram_eigvalsh(m: np.ndarray):
     or of 2^-1000 when that is larger, so that 2^-e stays finite; it brings
     the entries below 1 and the largest (past 2^-1000) to at least 1/2.
     Scaling by a power of two is exact, and it keeps norms from 1e-300 to
-    1e300 from underflowing or overflowing in the Gram.  A matrix whose
-    largest entry modulus lies in [2^-200, 2^200] is not scaled (e = 0): the
-    entries of its Gram then lie within 2^-400 to n 2^400, where eigvalsh
-    neither underflows nor rescales, so it returns the same values, up to
-    the exact factor 4^e, as for the scaled matrix.  The rule is per matrix,
-    so a matrix of a stack still gets what it gets alone, and a stack whose
-    matrices all lie in the window makes none of the scaling calls.
+    1e300 from underflowing or overflowing in the Gram.  A stack whose
+    matrices all have their largest entry modulus in [2^-200, 2^200] is not
+    scaled (e = 0): the entries of such a matrix's Gram lie within 2^-400
+    to n 2^400, where eigvalsh neither underflows nor rescales, so it
+    returns the same values, up to the exact factor 4^e, as for the scaled
+    matrix.  So a matrix of a stack gets what it gets alone, scaled or not,
+    and a stack inside the window makes none of the scaling calls; a single
+    matrix is tested as a Python float, at no numpy call.
     The larger Gram has the eigenvalues of the smaller one and
     |rows - cols| zeros.  ||M||^2 = 4^e max w.
     """
     top = np.abs(m).max(axis=(-2, -1), initial=2.0 ** -1000)
-    inside = (top >= _UNSCALED[0]) & (top <= _UNSCALED[1])
-    if inside.all():
+    low, high = _UNSCALED
+    if (low <= float(top) <= high if top.ndim == 0
+            else low <= top.min(initial=high) and top.max(initial=low) <= high):
         e = 0
     else:
-        e = np.where(inside, 0, np.frexp(top)[1])
+        _, e = np.frexp(top)
         m = m * np.ldexp(1.0, -e)[..., None, None]
     gram = adj(m) @ m if m.shape[-1] <= m.shape[-2] else m @ adj(m)
     return np.linalg.eigvalsh(gram), e
