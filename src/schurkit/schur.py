@@ -784,19 +784,14 @@ def verify_chain(chain: SchurChain, grid=None) -> ChainReport:
                 anchor[members] = members[at]
                 joined = ~np.isnan(steps)
                 step[members[:-1][joined]] = steps[joined]
-        measured = fits & (anchor == np.arange(len(family)))
-        to_oracle = np.full(len(family), np.inf)
-        to_oracle[measured] = grid_distance(
-            transfers[measured], np.broadcast_to(aligned, transfers[measured].shape), pts)
-        to_oracle[fits] = to_oracle[anchor[fits]] + drift[fits]
-        # a pair split between runs: its anchors' distance plus the drift of
-        # k (member k+1 starts a run, so it is its own anchor)
-        split = np.flatnonzero(fits[:-1] & fits[1:] & np.isnan(step))
-        across_k = np.full(len(intertwiners), np.inf)
-        across_k[~np.isnan(step)] = step[~np.isnan(step)]
-        if split.size:
-            across_k[split] = grid_distance(transfers[anchor[split]], transfers[split + 1],
-                                            pts) + drift[split]
+        if (anchor == np.arange(len(family))).all():
+            # no runs: every member is measured
+            to_oracle = grid_distance(transfers, np.broadcast_to(aligned, transfers.shape), pts)
+            across_k = grid_distance(transfers[:-1], transfers[1:], pts)
+        else:
+            to_oracle, across_k = _run_distances(transfers, aligned, anchor, drift, step, pts)
+        to_oracle[~fits] = np.inf
+        across_k[~(fits[:-1] & fits[1:])] = np.inf
         for k in range(len(family)):
             report.add("unitarity", f"{n},{k}", unitarity[k])
             report.add("transfer_oracle", f"{n},{k}", to_oracle[k])
@@ -805,6 +800,26 @@ def verify_chain(chain: SchurChain, grid=None) -> ChainReport:
             report.add("transfer_across_k", f"{n},{k}", across_k[k])
             report.add("similarity", f"{n},{k}", similarity[k])
     return report
+
+
+def _run_distances(transfers: np.ndarray, aligned: np.ndarray, anchor: np.ndarray,
+                   drift: np.ndarray, step: np.ndarray, pts: np.ndarray):
+    """(transfer_oracle, transfer_across_k) of a family with runs, from the
+    anchors' transfer functions, each member's ``anchor`` and ``drift`` and the
+    ``step`` bounds of the pairs that a run joins (nan for the others)."""
+    measured = anchor == np.arange(len(anchor))
+    to_oracle = np.empty(len(anchor))
+    to_oracle[measured] = grid_distance(
+        transfers[measured], np.broadcast_to(aligned, transfers[measured].shape), pts)
+    to_oracle = to_oracle[anchor] + drift
+    # a pair split between runs: its anchors' distance plus the drift of k
+    # (member k+1 starts a run, so it is its own anchor)
+    across_k = step.copy()
+    split = np.flatnonzero(np.isnan(step))
+    if split.size:
+        across_k[split] = grid_distance(transfers[anchor[split]], transfers[split + 1],
+                                        pts) + drift[split]
+    return to_oracle, across_k
 
 
 def _index_groups(keys) -> list[np.ndarray]:
@@ -912,10 +927,12 @@ def _pure_char_residual(blocks, norms: np.ndarray, links: np.ndarray,
     w_as, vecs_as, keep_as, low_as = la._defect_decision(a_star, tol, adjoint=False)
     w_a, vecs_a, keep_a, low_a = la._defect_decision(a_star, tol, adjoint=True)
     definite = np.flatnonzero(np.minimum(low_a, low_as) >= -tol.eq_abs)
-    eligible = np.zeros(len(d), dtype=bool)
-    eligible[contractive[definite]] = True
-    joined = (eligible[:-1] & eligible[1:] & np.isfinite(links)
-              & (d[:-1] == d[1:]).all(axis=(-2, -1)) & (a.shape[-1] >= _RUN_STATE_DIM))
+    joined = np.zeros(len(d) - 1, dtype=bool)
+    if a.shape[-1] >= _RUN_STATE_DIM:
+        eligible = np.zeros(len(d), dtype=bool)
+        eligible[contractive[definite]] = True
+        joined = (eligible[:-1] & eligible[1:] & np.isfinite(links)
+                  & (d[:-1] == d[1:]).all(axis=(-2, -1)))
     is_anchor = np.concatenate([[True], ~joined])
     anchors = np.maximum.accumulate(np.where(is_anchor, np.arange(len(d)), 0))
     unsolved = is_anchor.copy()

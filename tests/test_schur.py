@@ -699,7 +699,7 @@ class TestVerifyChain:
 
     # (svd, eigvalsh) calls of verify_chain per case: every norm is an
     # eigvalsh, one of them termination_match's, and the SVDs are the
-    # oracle's unitary-parameter tests; these states are too small for runs
+    # oracle's unitary-parameter tests
     NORM_KERNEL_CALLS = {(6, 2, 0): (5, 34), (8, 1, 1): (10, 94)}
 
     @pytest.mark.parametrize("state_dim, io_dim, seed, solves, svds", [
@@ -709,8 +709,8 @@ class TestVerifyChain:
     def test_verify_solves_each_member_stack_once(self, monkeypatch, state_dim, io_dim,
                                                   seed, solves, svds):
         # each family's members are factored once per point: the transfer
-        # functions and the characteristic functions share one solve,
-        # and the state norm takes no kernel call of its own.  ``solves`` and
+        # functions and the characteristic functions share one solve, and
+        # the state norm takes no kernel call of its own.  ``solves`` and
         # ``svds`` are the counts when both were made per family, every norm
         # was an SVD and the oracle sampled each level's quadrature circle
         # twice, one solve more per level past the source
