@@ -671,19 +671,20 @@ def verify_chain(chain: SchurChain, grid=None) -> ChainReport:
     iterate's io dimensions, pass the pure_char filters (contractive
     colligation, definite defects), share D and are joined by finite
     certificates, on states of at least 12 dimensions; a correct family on
-    such states is one run, and on smaller ones every member is measured.  Measured, per member and
-    pair: unitarity and similarity; for the first member of each run, its
-    anchor, and for every member outside a run: transfer_oracle and
-    pure_char, from one solve of I - lambda A per point shared by the
-    transfer and the characteristic function, and transfer_across_k of a
-    pair that a run does not join (plus the drift of member k when it is
-    not an anchor).  Bounded, for every other member: transfer_oracle,
-    transfer_across_k and pure_char are the anchor's measured value plus
-    proven terms from the certificates, the colligation norms and the
-    member's defect decompositions, each with the rounding term
-    16 eps (state_dim + io) rho^2 per member compared, rho = 1/(1 - |lambda|
-    nu) (see :func:`_pure_char_residual`).  A bound is at least the value
-    measuring its member would give, so a verdict can only become stricter.
+    such states is one run, and on smaller ones every member is measured.
+    Measured, per member and pair: unitarity and similarity; for the first
+    member of each run, its anchor, and for every member outside a run:
+    transfer_oracle and pure_char, from one solve of I - lambda A per point
+    shared by the transfer and the characteristic function, and
+    transfer_across_k of a pair that a run does not join (plus the drift of
+    member k when it is not an anchor).  Bounded, for every other member:
+    transfer_oracle, transfer_across_k and pure_char are the anchor's
+    measured value plus proven terms from the certificates, the colligation
+    norms and the member's defect decompositions, each with the rounding
+    term 16 eps (state_dim + io) rho^2 per member compared, rho = 1/(1 -
+    |lambda| nu) (see :func:`_pure_char_residual`).  A bound is at least the
+    value measuring its member would give, so a verdict can only become
+    stricter.
 
     A member whose state dimension differs from its neighbours' is
     reported, not raised: the similarities that pair it are inf.  So is a
@@ -883,12 +884,13 @@ def _pure_char_residual(blocks, norms: np.ndarray, links: np.ndarray,
     its own.  Members on states of fewer than 12 dimensions join no run:
     there the bounds' few dozen small numpy calls cost more than the grid
     solves they save (about 10% more verify time on scalar d <= 10, 10-30%
-    less from d = 16 and at (40,4), on one BLAS thread).  The first member of a run, its anchor, is measured: its
-    transfer function and the characteristic function of its state share
-    one solve of I - lambda A.  Anchors are stacked by the ranks of D_A and
-    D_A* so that their defect bases stack, and each rank group makes one
-    solve against [B | D_A* U]; its first io columns give the transfer
-    functions, the others the characteristic functions.  The residual
+    less from d = 16 and at (40,4), on one BLAS thread).  The first member
+    of a run, its anchor, is measured: its transfer function and the
+    characteristic function of its state share one solve of I - lambda A.
+    Anchors are stacked by the ranks of D_A and D_A* so that their defect
+    bases stack, and each rank group makes one solve against [B | D_A* U];
+    its first io columns give the transfer functions, the others the
+    characteristic functions.  The residual
     compares the pure part of the iterate with K phi M, phi the
     characteristic function of A* (V* (-A* U + lambda D_A R D_A* U), the
     transfer function of the colligation :func:`~schurkit.systems._char_blocks`

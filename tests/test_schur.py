@@ -503,8 +503,8 @@ def _direct_sum_with_rotation(s, angle: float):
 
 
 class TestVerifyChain:
-    @pytest.mark.parametrize("state_dim, io_dim", [(6, 1), (8, 2), (3, 5), (1, 1), (16, 1),
-                                                   (40, 4)])
+    @pytest.mark.parametrize("state_dim, io_dim", [(6, 1), (8, 2), (3, 5), (1, 1), (10, 1),
+                                                   (16, 1), (40, 4)])
     def test_residuals_bound_the_member_by_member_reference(self, state_dim, io_dim):
         # each family on 12 or more state dimensions is one run, and every
         # member of a smaller one is measured: what is measured is, bit for
