@@ -95,16 +95,6 @@ def _oracle_circle(n_max: int) -> np.ndarray:
     return r * np.exp(2j * np.pi * np.arange(n) / n)
 
 
-class _OnCircle:
-    """An evaluator tagged with the circle the levels built on it sample."""
-
-    def __init__(self, fn, points: np.ndarray):
-        self.fn, self.points = fn, points
-
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        return self.fn(pts)
-
-
 class _DividedEvaluator:
     """Array evaluator of D_g* (I - Theta(lam) g*)^{-1} (Theta(lam) - g) D_g^{-1},
     divided by lambda when ``divide`` is set, in the defect bases ``dom`` and
@@ -114,12 +104,12 @@ class _DividedEvaluator:
     circle |w| = r at N points once, from the previous level's, reads points
     z inside the read-off disk |z| < 0.65 (0 included: the plain mean) off it
     by the trapezoidal Cauchy formula (1/N) sum_j f(w_j) w_j/(w_j - z), and
-    divides at all others.  The circle is the one of the function it divides
-    (``theta.eval_fn.points``), so every level of one oracle run shares it;
-    :func:`schur_oracle` chooses it from its depth n_max, and any other
-    function gets the circle of depth 0.  Rule: r is the smallest radius
-    >= 0.8 with r^-n_max <= 1e4, and N the smallest multiple of 8 with
-    r^N <= 3.2e-16; that is r = 0.8, N = 160 up to n_max = 41, and about
+    divides at all others.  The circle is ``points``: :func:`schur_oracle`
+    chooses it from its depth n_max and passes it to every level of the
+    run, so that all of them share it, and any other function gets the
+    circle of depth 0.  Rule: r is the smallest radius >= 0.8 with
+    r^-n_max <= 1e4, and N the smallest multiple of 8 with r^N <= 3.2e-16;
+    that is r = 0.8, N = 160 up to n_max = 41, and about
     r = 0.91, N = 376 at n_max = 97.  Bounds: the Taylor coefficients of a
     Schur-class function have norm <= 1, so the mean aliases by about
     r^N / (1 - r^N) <= 3.2e-16 and the read-off on the 0.6 ring by
@@ -130,15 +120,14 @@ class _DividedEvaluator:
     """
 
     def __init__(self, theta: SampledFunction, gamma: np.ndarray, tol: Tolerance,
-                 divide: bool):
+                 divide: bool, points: np.ndarray):
         self.defects = _defect_pair(gamma, tol)
         dd, dds = self.defects
         self.dom, self.cod = dd.space, dds.space
         self.theta, self.gamma, self.divide = theta, gamma, divide
         self.d_restr = adj(self.cod.basis) @ dds.op @ self.cod.basis
         self.j_restr = adj(self.dom.basis) @ dd.op_pinv @ self.dom.basis
-        points = getattr(theta.eval_fn, "points", None)
-        self.points = _oracle_circle(0) if points is None else points
+        self.points = points
         self.circle: np.ndarray | None = None
         self.last: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -172,14 +161,19 @@ class _DividedEvaluator:
 
 
 def _divided_step(theta: SampledFunction, gamma: np.ndarray, tol: Tolerance,
-                  divide: bool) -> SampledFunction:
-    """Common core of the Moebius parameter and the Schur iterate."""
-    evaluator = _DividedEvaluator(theta, gamma, tol, divide)
+                  divide: bool, points: np.ndarray | None = None) -> SampledFunction:
+    """Common core of the Moebius parameter and the Schur iterate, sampling
+    the circle ``points`` (default: the circle of depth 0)."""
+    if points is None:
+        points = _oracle_circle(0)
+    evaluator = _DividedEvaluator(theta, gamma, tol, divide, points)
     return SampledFunction(evaluator.dom.dim, evaluator.cod.dim, evaluator)
 
 
-def oracle_step(theta: SampledFunction, tol: Tolerance = DEFAULT_TOL):
-    """One function-level step: (Gamma_n, Theta_{n+1}).
+def oracle_step(theta: SampledFunction, tol: Tolerance = DEFAULT_TOL, *,
+                _circle: np.ndarray | None = None):
+    """One function-level step: (Gamma_n, Theta_{n+1}), the iterate read off
+    the circle of depth 0 unless :func:`schur_oracle` passes its own.
 
     Raises :class:`UnitaryParameter` when Theta(0) is unitary, i.e. the
     algorithm has terminated and no next iterate exists.
@@ -187,7 +181,7 @@ def oracle_step(theta: SampledFunction, tol: Tolerance = DEFAULT_TOL):
     gamma = theta(0)
     if is_unitary_parameter(gamma, tol):
         raise UnitaryParameter("Theta(0) is unitary; the iteration has terminated")
-    return gamma, _divided_step(theta, gamma, tol, divide=True)
+    return gamma, _divided_step(theta, gamma, tol, True, _circle)
 
 
 def moebius_parameter(theta: SampledFunction, tol: Tolerance = DEFAULT_TOL) -> SampledFunction:
@@ -348,22 +342,22 @@ def schur_oracle(theta: SampledFunction, n_max: int,
     Each parameter is the mean of its iterate's circle, which the depth
     ``n_max`` chooses (see :class:`_DividedEvaluator`).  A step fails when
     a rank decision breaks down, typically on a parameter at the edge of
-    contractivity; the run then ends with the failing step in ``breakdown``.  The iterate after parameter ``n_max`` is not formed.
+    contractivity; the run then ends with the failing step in ``breakdown``.  The iterate
+    after parameter ``n_max`` is not formed.
     """
     gammas: list[np.ndarray] = []
     defects: list[DefectPair] = []  # one per formed iterate
     iterates = [theta]
     terminated = False
     breakdown = None
-    current = SampledFunction(theta.in_dim, theta.out_dim,
-                              _OnCircle(theta.eval_fn, _oracle_circle(n_max)))
+    current, circle = theta, _oracle_circle(n_max)
     for n in range(n_max + 1):
         try:
             if n == n_max:
                 gamma = current(0)
                 terminated = is_unitary_parameter(gamma, tol)
             else:
-                gamma, nxt = oracle_step(current, tol)
+                gamma, nxt = oracle_step(current, tol, _circle=circle)
         except UnitaryParameter:
             gamma, terminated = current(0), True
         except (SchurkitError, np.linalg.LinAlgError):
@@ -670,9 +664,10 @@ def verify_chain(chain: SchurChain, grid=None) -> ChainReport:
     maximal sequence of consecutive members that are finite, fit the
     iterate's io dimensions, pass the pure_char filters (contractive
     colligation, definite defects), share D and are joined by finite
-    certificates, on states of at least 12 dimensions; a correct family on
-    such states is one run, and on smaller ones every member is measured.
-    Measured, per member and pair: unitarity and similarity; for the first
+    certificates, in a family whose runs save more grid work than their
+    bounds cost (:func:`_forms_runs`: (members - 1) state_dim^2 >= 256, or
+    a matrix-valued iterate and 3 or more members); a correct such family
+    is one run, and in any other every member is measured.  Measured, per member and pair: unitarity and similarity; for the first
     member of each run, its anchor, and for every member outside a run:
     transfer_oracle and pure_char, from one solve of I - lambda A per point
     shared by the transfer and the characteristic function, and
@@ -683,8 +678,10 @@ def verify_chain(chain: SchurChain, grid=None) -> ChainReport:
     norms and the member's defect decompositions, each with the rounding
     term 16 eps (state_dim + io) rho^2 per member compared, rho = 1/(1 -
     |lambda| nu) (see :func:`_pure_char_residual`).  A bound is at least the
-    value measuring its member would give, so a verdict can only become
-    stricter.
+    value measuring its member would give, and it is reported only when it
+    passes its threshold: a family with a bound past its threshold, as at
+    grid radii near 1, where rho reaches 1e3, is measured member by member
+    instead.  So the verdict is the one measuring every member gives.
 
     A member whose state dimension differs from its neighbours' is
     reported, not raised: the similarities that pair it are inf.  So is a
@@ -756,14 +753,8 @@ def verify_chain(chain: SchurChain, grid=None) -> ChainReport:
         fits = finite & np.array([(s.out_dim, s.in_dim) == aligned.shape[1:] for s in family])
         intertwiners = [_lattice_intertwiner(chain, idx, k) for k in range(len(family) - 1)]
         unitarity = np.full(len(family), np.inf)
-        pure = np.full(len(family), np.inf)
         similarity = np.full(len(intertwiners), np.inf)
-        transfers = np.zeros((len(family),) + aligned.shape, dtype=complex)
-        # per member its run's anchor and the bound on its distance to it,
-        # per pair the bound on its distance when both lie in one run
-        anchor = np.arange(len(family))
-        drift = np.zeros(len(family))
-        step = np.full(len(intertwiners), np.nan)
+        stacks = []  # the stacks whose io dimensions are the iterate's
         for members, blocks in _state_groups(family, finite):
             norms, iso_gap, coiso_gap = la._norm_and_gaps(assemble_blocks(*blocks))
             unitarity[members] = np.maximum(iso_gap, coiso_gap)
@@ -780,19 +771,13 @@ def verify_chain(chain: SchurChain, grid=None) -> ChainReport:
                     tuple(x[firsts] for x in blocks), tuple(x[firsts + 1] for x in blocks),
                     np.array([intertwiners[k] for k in ks]))
             if fits[members[0]]:
-                transfers[members], pure[members], at, drift[members], steps = (
-                    _pure_char_residual(blocks, norms, links, pair, aligned, pts, tol))
-                anchor[members] = members[at]
-                joined = ~np.isnan(steps)
-                step[members[:-1][joined]] = steps[joined]
-        if (anchor == np.arange(len(family))).all():
-            # no runs: every member is measured
-            to_oracle = grid_distance(transfers, np.broadcast_to(aligned, transfers.shape), pts)
-            across_k = grid_distance(transfers[:-1], transfers[1:], pts)
-        else:
-            to_oracle, across_k = _run_distances(transfers, aligned, anchor, drift, step, pts)
-        to_oracle[~fits] = np.inf
-        across_k[~(fits[:-1] & fits[1:])] = np.inf
+                stacks.append((members, blocks, norms, links))
+        to_oracle, across_k, pure, measured = _family_transfers(
+            stacks, fits, pair, aligned, pts, tol, runs=True)
+        if not measured.all() and _bound_fails(to_oracle, across_k, pure, measured, fits):
+            # a bound that would fail is replaced by the measurement
+            to_oracle, across_k, pure, _ = _family_transfers(
+                stacks, fits, pair, aligned, pts, tol, runs=False)
         for k in range(len(family)):
             report.add("unitarity", f"{n},{k}", unitarity[k])
             report.add("transfer_oracle", f"{n},{k}", to_oracle[k])
@@ -801,6 +786,50 @@ def verify_chain(chain: SchurChain, grid=None) -> ChainReport:
             report.add("transfer_across_k", f"{n},{k}", across_k[k])
             report.add("similarity", f"{n},{k}", similarity[k])
     return report
+
+
+def _family_transfers(stacks, fits: np.ndarray, pair: DefectPair | None,
+                      aligned: np.ndarray, pts: np.ndarray, tol: Tolerance, runs: bool):
+    """(transfer_oracle, transfer_across_k, pure_char, measured) of a family
+    whose members ``fits`` selects are stacked in ``stacks`` as (members,
+    blocks, norms, links); members join runs only when ``runs`` is set, and
+    ``measured`` marks the members whose transfer_oracle and pure_char are
+    measured rather than bounded."""
+    transfers = np.zeros((len(fits),) + aligned.shape, dtype=complex)
+    pure = np.full(len(fits), np.inf)
+    # per member its run's anchor and the bound on its distance to it,
+    # per pair the bound on its distance when both lie in one run
+    anchor = np.arange(len(fits))
+    drift = np.zeros(len(fits))
+    step = np.full(len(fits) - 1, np.nan)
+    for members, blocks, norms, links in stacks:
+        transfers[members], pure[members], at, drift[members], steps = (
+            _pure_char_residual(blocks, norms, links, pair, aligned, pts, tol, runs))
+        anchor[members] = members[at]
+        joined = ~np.isnan(steps)
+        step[members[:-1][joined]] = steps[joined]
+    measured = anchor == np.arange(len(fits))
+    if measured.all():
+        # no runs: every member is measured
+        to_oracle = grid_distance(transfers, np.broadcast_to(aligned, transfers.shape), pts)
+        across_k = grid_distance(transfers[:-1], transfers[1:], pts)
+    else:
+        to_oracle, across_k = _run_distances(transfers, aligned, anchor, drift, step, pts)
+    to_oracle[~fits] = np.inf
+    across_k[~(fits[:-1] & fits[1:])] = np.inf
+    return to_oracle, across_k, pure, measured
+
+
+def _bound_fails(to_oracle: np.ndarray, across_k: np.ndarray, pure: np.ndarray,
+                 measured: np.ndarray, fits: np.ndarray) -> bool:
+    """Whether a bound of :func:`_family_transfers` exceeds its threshold:
+    the transfer_oracle or pure_char of a member not ``measured``, or the
+    transfer_across_k of a pair of members that ``fits`` selects and that
+    are not both measured."""
+    bounded = ~(measured[:-1] & measured[1:]) & fits[:-1] & fits[1:]
+    return not ((to_oracle[~measured] <= CHAIN_THRESHOLDS["transfer_oracle"]).all()
+                and (pure[~measured] <= CHAIN_THRESHOLDS["pure_char"]).all()
+                and (across_k[bounded] <= CHAIN_THRESHOLDS["transfer_across_k"]).all())
 
 
 def _run_distances(transfers: np.ndarray, aligned: np.ndarray, anchor: np.ndarray,
@@ -854,15 +883,28 @@ def _frobenius(m: np.ndarray) -> np.ndarray:
     return np.linalg.norm(m, axis=(-2, -1))
 
 
-# Constant of the rounding term of the anchor bounds, and the smallest state
-# dimension on which members join runs (see _pure_char_residual).
+# Constant of the rounding term of the anchor bounds, and the least work
+# (members - 1) state_dim^2 that runs must skip (see _forms_runs).
 _ROUNDING = 16.0
-_RUN_STATE_DIM = 12
+_RUN_WORK = 256
+
+
+def _forms_runs(state_dim: int, members: int, scalar: bool) -> bool:
+    """Whether a stack of ``members`` family members on ``state_dim``
+    dimensions, of scalar transfer functions when ``scalar`` is set, joins
+    runs: when the grid work the runs skip pays for their bounds' few dozen
+    small numpy calls.  A member skipped saves its solves of I - lambda A,
+    and for a matrix-valued iterate also its norm kernel call per point;
+    timed per family on one BLAS thread, runs cost 3-38% more on scalar
+    families with (members - 1) state_dim^2 < 256 (every family of the
+    scalar d <= 10 chains) and on matrix-valued ones of 2 members up to 10
+    dimensions, and save 2-66% on the others measured."""
+    return (members - 1) * state_dim**2 >= _RUN_WORK or (not scalar and members >= 3)
 
 
 def _pure_char_residual(blocks, norms: np.ndarray, links: np.ndarray,
                         pair: DefectPair | None, theta: np.ndarray, pts: np.ndarray,
-                        tol: Tolerance):
+                        tol: Tolerance, runs: bool = True):
     """Transfer functions and pure_char residuals of a stack of family
     members whose io dimensions are the iterate's, measured on the grid for
     one member per run and bounded for the others.
@@ -881,10 +923,8 @@ def _pure_char_residual(blocks, norms: np.ndarray, links: np.ndarray,
     <= 1 + eq_abs) and both defect eigenvalue sets lie above -eq_abs; a
     run is a maximal sequence of eligible members, each joined to the next
     by a finite certificate and an equal D; every other member is a run of
-    its own.  Members on states of fewer than 12 dimensions join no run:
-    there the bounds' few dozen small numpy calls cost more than the grid
-    solves they save (about 10% more verify time on scalar d <= 10, 10-30%
-    less from d = 16 and at (40,4), on one BLAS thread).  The first member
+    its own.  Only the stacks that :func:`_forms_runs` selects, with
+    ``runs`` set, join runs at all.  The first member
     of a run, its anchor, is measured: its transfer function and the
     characteristic function of its state share one solve of I - lambda A.
     Anchors are stacked by the ranks of D_A and D_A* so that their defect
@@ -930,7 +970,7 @@ def _pure_char_residual(blocks, norms: np.ndarray, links: np.ndarray,
     w_a, vecs_a, keep_a, low_a = la._defect_decision(a_star, tol, adjoint=True)
     definite = np.flatnonzero(np.minimum(low_a, low_as) >= -tol.eq_abs)
     joined = np.zeros(len(d) - 1, dtype=bool)
-    if a.shape[-1] >= _RUN_STATE_DIM:
+    if runs and _forms_runs(a.shape[-1], len(d), c.shape[-2] * b.shape[-1] == 1):
         eligible = np.zeros(len(d), dtype=bool)
         eligible[contractive[definite]] = True
         joined = (eligible[:-1] & eligible[1:] & np.isfinite(links)

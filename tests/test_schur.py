@@ -428,12 +428,12 @@ class TestIterateSystems:
                 assert intertwining_residual(family[k], family[k + 1], u) <= 1e-7
 
 
-def member_reference(chain) -> dict:
+def member_reference(chain, grid=GRID) -> dict:
     """The unitarity, transfer, similarity and pure_char residuals of
-    verify_chain, computed member by member from public functions on the
-    default grid; a similarity whose intertwiner does not fit its pair is
-    left out, and so is the pure_char of a member without KMX parameters."""
-    pts = np.asarray(GRID)
+    verify_chain, computed member by member from public functions on
+    ``grid``; a similarity whose intertwiner does not fit its pair is left
+    out, and so is the pure_char of a member without KMX parameters."""
+    pts = np.asarray(grid)
     seq = chain.params
     tol = chain.source.tol
     oracle = schur_oracle(chain.source.sampled(), len(seq) - 1)
@@ -464,6 +464,12 @@ def member_reference(chain) -> dict:
     return ref
 
 
+def _forms_runs(family) -> bool:
+    """Whether verify_chain joins the members of ``family`` into runs."""
+    s = family[0]
+    return schur_mod._forms_runs(s.state_dim, len(family), s.in_dim * s.out_dim == 1)
+
+
 def _measured(key: str) -> bool:
     """Whether verify_chain measures ``key`` of a family that is one run:
     unitarity and similarity everywhere, transfer_oracle and pure_char at
@@ -471,23 +477,6 @@ def _measured(key: str) -> bool:
     kind, detail = key[:-1].split("[")
     return kind in ("unitarity", "similarity") or (
         kind in ("transfer_oracle", "pure_char") and detail.endswith(",0"))
-
-
-def _assert_only_family_moves(report: dict, base: dict, ref: dict, n: int, own: set):
-    """``report`` of a chain whose family ``n`` was tampered with, against
-    ``base`` of the chain as built: the keys are the same, no residual
-    outside family n moves, and inside it every residual but ``own`` is
-    measured or bounded afresh, so it lies between the member-by-member
-    reference ``ref`` of its untouched members and its threshold; unitarity
-    and similarity, measured per member and pair, do not move."""
-    assert list(report) == list(base)
-    for key, value in report.items():
-        if key in own:
-            continue
-        if f"[{n}," not in key or key.startswith(("unitarity[", "similarity[")):
-            assert value == base[key], key
-        else:
-            assert ref[key] <= value <= CHAIN_THRESHOLDS[key.split("[")[0]], key
 
 
 def _direct_sum_with_rotation(s, angle: float):
@@ -506,10 +495,10 @@ class TestVerifyChain:
     @pytest.mark.parametrize("state_dim, io_dim", [(6, 1), (8, 2), (3, 5), (1, 1), (10, 1),
                                                    (16, 1), (40, 4)])
     def test_residuals_bound_the_member_by_member_reference(self, state_dim, io_dim):
-        # each family on 12 or more state dimensions is one run, and every
-        # member of a smaller one is measured: what is measured is, bit for
-        # bit, what its member gives alone, and every bound lies between that
-        # and the threshold of its kind
+        # each family that forms runs is one run, and every member of any
+        # other is measured: what is measured is, bit for bit, what its member
+        # gives alone, and every bound lies between that and the threshold of
+        # its kind
         for seed in range(5):
             chain = build_chain(random_conservative_system(
                 state_dim, io_dim, np.random.default_rng(seed)))
@@ -517,8 +506,7 @@ class TestVerifyChain:
             got = {key: value for key, value in verify_chain(chain).residuals.items()
                    if key.startswith(("unitarity[", "transfer_", "similarity[", "pure_char["))}
             assert list(got) == [key for key in got if key in ref] and set(ref) == set(got)
-            small = {n for n, f in enumerate(chain.families, 1)
-                     if f[0].state_dim < schur_mod._RUN_STATE_DIM}
+            small = {n for n, f in enumerate(chain.families, 1) if not _forms_runs(f)}
             for key, value in got.items():
                 if _measured(key) or int(key.split("[")[1].split(",")[0]) in small:
                     assert value == ref[key], (seed, key)
@@ -528,8 +516,7 @@ class TestVerifyChain:
 
     def test_ragged_family_is_reported(self):
         # a member on a larger state space cannot stack with its family: it
-        # is checked on its own, only the similarities that pair it fail, and
-        # it splits its family's run
+        # is checked on its own, and only the similarities that pair it fail
         chain = build_chain(random_conservative_system(6, 1, np.random.default_rng(2)))
         family = [list(f) for f in chain.families]
         n, k = 2, 1
@@ -544,15 +531,12 @@ class TestVerifyChain:
         for key in as_alone:
             assert report[key] == ref[key]
         assert report[f"pure_char[{n},{k}]"] <= CHAIN_THRESHOLDS["pure_char"]
-        # the family splits into runs {0}, {1} and {2, ...}: members 0 and 2
-        # are anchors now, measured, and the rest bounded from member 2
-        for key in (f"transfer_oracle[{n},0]", f"transfer_oracle[{n},{k + 1}]",
-                    f"pure_char[{n},{k + 1}]"):
-            assert report[key] == ref[key]
-        own = set(as_alone) | {f"pure_char[{n},{k}]",
-                               f"similarity[{n},{k - 1}]", f"similarity[{n},{k}]"}
-        _assert_only_family_moves(report, verify_chain(chain).residuals,
-                                  member_reference(chain), n, own)
+        own = as_alone + [f"pure_char[{n},{k}]",
+                          f"similarity[{n},{k - 1}]", f"similarity[{n},{k}]"]
+        base = verify_chain(chain).residuals
+        assert list(report) == list(base)
+        assert {key: v for key, v in report.items() if key not in own} == {
+            key: v for key, v in base.items() if key not in own}
 
     def test_square_anchor(self):
         report = verify_chain(build_chain(permutation_colligation()))
@@ -700,7 +684,9 @@ class TestVerifyChain:
     # (svd, eigvalsh) calls of verify_chain per case: every norm is an
     # eigvalsh, one of them termination_match's, and the SVDs are the
     # oracle's unitary-parameter tests
-    NORM_KERNEL_CALLS = {(6, 2, 0): (5, 34), (8, 1, 1): (10, 94)}
+    # on (6, 2) the families of 3 or more members are runs: one grid
+    # distance per family, to the oracle, and none across k
+    NORM_KERNEL_CALLS = {(6, 2, 0): (5, 33), (8, 1, 1): (10, 94)}
 
     @pytest.mark.parametrize("state_dim, io_dim, seed, solves, svds", [
         (6, 2, 0, 15, 54),
@@ -734,9 +720,9 @@ class TestVerifyChain:
 
     @pytest.mark.parametrize("state_dim, io_dim, seed", [(16, 1, 1), (24, 1, 2), (40, 4, 3)])
     def test_one_grid_solve_per_run(self, monkeypatch, state_dim, io_dim, seed):
-        # a family of n + 1 members on 12 or more state dimensions is one
-        # run: verify_chain factors I - lambda A on the grid for one member,
-        # however large the family is; on smaller states for every member.
+        # a family of n + 1 members that forms runs is one run: verify_chain
+        # factors I - lambda A on the grid for one member, however large the
+        # family is; in any other family for every member.
         # The source and each oracle level solve twice, on the circle and at
         # the grid points outside the read-off disk
         chain = _chain(state_dim, io_dim, seed)
@@ -749,8 +735,7 @@ class TestVerifyChain:
         monkeypatch.setattr(np.linalg, "solve", recording)
         assert verify_chain(chain).ok
         members = [shape[0] for shape in shapes if len(shape) == 4]
-        assert members == [1 if f[0].state_dim >= schur_mod._RUN_STATE_DIM else len(f)
-                           for f in chain.families]
+        assert members == [1 if _forms_runs(f) else len(f) for f in chain.families]
         assert 1 in members
         assert len(shapes) - len(members) == 2 * len(chain.params)
 
@@ -758,7 +743,7 @@ class TestVerifyChain:
         # member 0 of family 1 replaced by a system on the same state space
         # with io dims 3 instead of 2: its transfer_oracle, pure_char and
         # similarity are inf, as is the transfer_across_k that pairs it;
-        # its unitarity is its own, and no residual of another family moves
+        # its unitarity is its own, and no other residual changes
         chain = build_chain(random_conservative_system(4, 2, np.random.default_rng(0)))
         odd = random_conservative_system(2, 3, np.random.default_rng(5))
         family = [list(f) for f in chain.families]
@@ -771,18 +756,17 @@ class TestVerifyChain:
         assert {k: v for k, v in report.items() if k in failed} == dict.fromkeys(
             failed, float("inf"))
         assert report["unitarity[1,0]"] == la.unitarity_residual(odd.colligation())
-        # member 1 is its run's anchor now, and measured
-        ref = member_reference(chain)
-        assert report["transfer_oracle[1,1]"] == ref["transfer_oracle[1,1]"]
-        _assert_only_family_moves(report, base, ref, 1, failed | {"unitarity[1,0]"})
+        own = failed | {"unitarity[1,0]"}
+        assert list(report) == list(base)
+        assert {k: v for k, v in report.items() if k not in own} == {
+            k: v for k, v in base.items() if k not in own}
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_member_with_non_finite_blocks_is_reported(self, bad):
         # a non-finite entry in member 0 of family 1: LAPACK would not
         # converge on its blocks, so no kernel sees them; its unitarity,
         # transfer_oracle, pure_char, and the transfer_across_k and
-        # similarity that pair it are inf, and no residual of another family
-        # moves
+        # similarity that pair it are inf, and no other residual changes
         chain = build_chain(random_conservative_system(8, 2, np.random.default_rng(3)))
         family = [list(f) for f in chain.families]
         victim = family[0][0]
@@ -793,9 +777,11 @@ class TestVerifyChain:
         base = verify_chain(chain).residuals
         failed = {"unitarity[1,0]", "transfer_oracle[1,0]", "pure_char[1,0]",
                   "transfer_across_k[1,0]", "similarity[1,0]"}
+        assert list(report) == list(base)
         assert {k: v for k, v in report.items() if k in failed} == dict.fromkeys(
             failed, float("inf"))
-        _assert_only_family_moves(report, base, member_reference(chain), 1, failed)
+        assert {k: v for k, v in report.items() if k not in failed} == {
+            k: v for k, v in base.items() if k not in failed}
 
     @pytest.mark.parametrize("state_dim, io_dim", [(6, 2), (8, 1), (16, 2)])
     def test_pure_char_matches_kmx_reference(self, monkeypatch, state_dim, io_dim):
@@ -813,7 +799,7 @@ class TestVerifyChain:
         residual = schur_mod._pure_char_residual
         expected, is_anchor = [], []
 
-        def with_reference(blocks, colligations, links, pair, theta, pts, tol):
+        def with_reference(blocks, colligations, links, pair, theta, pts, tol, runs):
             for s in (discrete_system(*member) for member in zip(*blocks)):
                 try:
                     kmx = decompose_kmx(s.block, tol)
@@ -823,7 +809,7 @@ class TestVerifyChain:
                         adj(fp) @ theta @ ep, adj(fp) @ (kmx.k @ phi.on(pts) @ kmx.m) @ ep))
                 except SchurkitError:
                     expected.append(float("inf"))
-            got = residual(blocks, colligations, links, pair, theta, pts, tol)
+            got = residual(blocks, colligations, links, pair, theta, pts, tol, runs)
             is_anchor.extend(got[2] == np.arange(len(got[2])))
             return got
 
@@ -836,22 +822,32 @@ class TestVerifyChain:
                 assert value == want
             else:
                 assert want <= value <= CHAIN_THRESHOLDS["pure_char"]
-        # a family on 12 or more state dimensions is one run; on smaller
-        # states, where the victim lies, every member is measured
-        assert is_anchor.count(True) == sum(1 if f[0].state_dim >= schur_mod._RUN_STATE_DIM
-                                            else len(f) for f in family)
+        # a family that forms runs is one run, but for the victim's, which
+        # splits into the victim and a run of the rest; in any other family
+        # every member is measured
+        runs = [_forms_runs(f) for f in family]
+        assert is_anchor.count(True) == sum(
+            1 if r else len(f) for r, f in zip(runs, family)) + runs[-1]
         assert report.residuals[f"pure_char[{len(family)},0]"] == float("inf")
         assert reported.count(float("inf")) == 1
 
     @pytest.mark.parametrize("tamper", ["shift", "rotate"])
     @pytest.mark.parametrize("state_dim, io_dim, seed, n, k", [(16, 2, 3, 2, 1), (24, 1, 0, 4, 3)])
-    def test_tampered_member_is_caught(self, tamper, state_dim, io_dim, seed, n, k):
+    def test_tampered_member_is_caught(self, monkeypatch, tamper, state_dim, io_dim, seed,
+                                       n, k):
         # member k >= 1 with 1e-3 added to its B, which leaves its run and is
         # measured, or with B and A turned by a state rotation of angle 1e-3,
-        # which keeps its colligation unitary and its place in the run: the
-        # certificates that pair it fail, and so do its transfer residuals,
-        # measured or bounded
+        # which keeps its colligation unitary and its place in the run, where
+        # the bounds of its family catch it and are replaced by measurements:
+        # the certificates that pair it fail, and so do its transfer residuals
         chain = _chain(state_dim, io_dim, seed)
+        decisions, bound_fails = [], schur_mod._bound_fails
+
+        def recording(*args):
+            decisions.append(bound_fails(*args))
+            return decisions[-1]
+
+        monkeypatch.setattr(schur_mod, "_bound_fails", recording)
         family = [list(f) for f in chain.families]
         victim = family[n - 1][k]
         if tamper == "shift":
@@ -873,6 +869,8 @@ class TestVerifyChain:
         for key in (f"transfer_oracle[{n},{k}]", f"transfer_across_k[{n},{k}]"):
             assert report.residuals[key] >= ref[key]
         assert la.is_unitary(family[n - 1][k].colligation()) == (tamper == "rotate")
+        if tamper == "rotate":
+            assert decisions.count(True) == 1
 
     def test_indefinite_defect_fails_its_member_alone(self):
         # scaled by 1 + 0.8e-9, a member passes both norm checks at eq_abs,
@@ -885,11 +883,107 @@ class TestVerifyChain:
         assert la.opnorm(family[1][1].colligation()) <= 1 + la.DEFAULT_TOL.eq_abs
         report = verify_chain(dataclasses.replace(chain, families=family)).residuals
         base = verify_chain(chain).residuals
-        assert report["pure_char[2,1]"] == float("inf")
-        own = {"pure_char[2,1]", "unitarity[2,1]", "transfer_oracle[2,1]",
-               "similarity[2,0]", "similarity[2,1]",
-               "transfer_across_k[2,0]", "transfer_across_k[2,1]"}
-        _assert_only_family_moves(report, base, member_reference(chain), 2, own)
+        pure = {key: v for key, v in report.items() if key.startswith("pure_char[")}
+        assert pure.pop("pure_char[2,1]") == float("inf")
+        assert pure == {key: v for key, v in base.items()
+                        if key.startswith("pure_char[") and key != "pure_char[2,1]"}
+
+    @pytest.mark.parametrize("tamper", ["ragged", "other_io", "non_finite", "indefinite"])
+    def test_member_out_of_its_run_is_reported(self, tamper):
+        # on 20 state dimensions family 4 of a (24,1) chain is one run.
+        # Member 2 put on a larger state, given io dims 2, a nan entry or an
+        # indefinite defect (scaled by 1 + 0.8e-9) leaves it, and the family
+        # splits into the runs {0, 1}, {2} and {3, 4}: member 2 fails as it
+        # does on a small state, the anchors 0 and 3 and the pair (2, 3) are
+        # measured, the other members and pairs bounded from their anchors,
+        # and no residual of another family moves
+        chain = _chain(24, 1, 0)
+        n, k = 4, 2
+        family = [list(f) for f in chain.families]
+        victim = family[n - 1][k]
+        assert victim.state_dim == 20 and _forms_runs(family[n - 1])
+        pairing = {f"similarity[{n},{k - 1}]", f"similarity[{n},{k}]"}
+        unfit = pairing | {f"transfer_oracle[{n},{k}]", f"pure_char[{n},{k}]",
+                           f"transfer_across_k[{n},{k - 1}]", f"transfer_across_k[{n},{k}]"}
+        if tamper == "ragged":
+            member, fails = _direct_sum_with_rotation(victim, 0.7), pairing
+        elif tamper == "other_io":
+            member = random_conservative_system(20, 2, np.random.default_rng(5))
+            fails = unfit
+        elif tamper == "non_finite":
+            a = victim.a.copy()
+            a[0, 0] = np.nan
+            member = discrete_system(victim.d, victim.c, victim.b, a)
+            fails = unfit | {f"unitarity[{n},{k}]"}
+        else:
+            member = discrete_system(*((1 + 0.8e-9) * blk for blk in (
+                victim.d, victim.c, victim.b, victim.a)))
+            fails = {f"pure_char[{n},{k}]"}
+        family[n - 1][k] = member
+        # the scaled member's unitarity, about 1.6e-9, fails without being inf
+        scaled = {f"unitarity[{n},{k}]"} if tamper == "indefinite" else set()
+        tampered = dataclasses.replace(chain, families=family)
+        report = verify_chain(tampered).residuals
+        base = verify_chain(chain).residuals
+        assert list(report) == list(base)
+        assert set(verify_chain(tampered).failures()) == fails | scaled
+        assert all(report[key] == float("inf") for key in fails)
+        own = unfit | {f"unitarity[{n},{k}]"}
+        measured = {f"{kind}[{n},{j}]" for kind in ("transfer_oracle", "pure_char")
+                    for j in (0, k + 1)}
+        ref = member_reference(chain)
+        for key, value in report.items():
+            kind = key.split("[")[0]
+            if f"[{n}," not in key:
+                assert value == base[key], key
+            elif key in own:
+                continue
+            elif key in measured or kind in ("unitarity", "similarity"):
+                assert value == ref[key], key
+            else:  # a bound, above the measurement
+                assert ref[key] < value <= CHAIN_THRESHOLDS[kind], key
+        # member 2 is measured alone, and its pair with member 1 bounded
+        if tamper == "other_io":
+            assert report[f"unitarity[{n},{k}]"] == la.unitarity_residual(member.colligation())
+        elif tamper != "non_finite":
+            alone = member_reference(tampered)
+            for key in own - fails:
+                if key == f"transfer_across_k[{n},{k - 1}]":
+                    assert alone[key] < report[key] <= CHAIN_THRESHOLDS["transfer_across_k"]
+                else:
+                    assert report[key] == alone[key], key
+
+    def test_bounds_past_their_thresholds_are_measured(self, monkeypatch):
+        # at radius 0.999, rho = 1/(1 - 0.999 nu) is about 1e3 for the
+        # members of norm 1, and on 12 state dimensions the rounding terms
+        # alone take the across-k bounds past 1e-7: that family is measured
+        # member by member instead, bit for bit what each member gives
+        # alone, the smaller ones keep their bounds, and the chain verifies
+        # as it does on the default grid
+        grid = disk_grid((0.3, 0.9, 0.999))
+        chain = _chain(16, 2, 1)
+        decisions, bound_fails = [], schur_mod._bound_fails
+
+        def recording(*args):
+            decisions.append(bound_fails(*args))
+            return decisions[-1]
+
+        monkeypatch.setattr(schur_mod, "_bound_fails", recording)
+        report = verify_chain(chain, grid)
+        assert report.ok
+        runs = [n for n, f in enumerate(chain.families, 1) if _forms_runs(f)]
+        assert len(decisions) == len(runs) and decisions[0] and not all(decisions)
+        measured = {n for n, caught in zip(runs, decisions) if caught}
+        assert min(measured) == 2 and chain.families[1][0].state_dim == 12
+        ref = member_reference(chain, grid)
+        for key, value in report.residuals.items():
+            if key not in ref:
+                continue
+            n = int(key.split("[")[1].split(",")[0])
+            if n in measured or n not in runs or _measured(key):
+                assert value == ref[key], key
+            else:
+                assert ref[key] <= value <= CHAIN_THRESHOLDS[key.split("[")[0]], key
 
     @pytest.mark.parametrize("entry", [2.0, np.nan])
     def test_iterate_without_defect_pair_fails_its_family(self, monkeypatch, entry):
@@ -931,11 +1025,11 @@ class TestVerifyChain:
         step = schur_mod.oracle_step
         calls = []
 
-        def fail_at_two(theta, tol):
+        def fail_at_two(theta, tol, **circle):
             calls.append(theta)
             if len(calls) == 3:
                 raise SchurkitError("injected breakdown")
-            return step(theta, tol)
+            return step(theta, tol, **circle)
 
         monkeypatch.setattr(schur_mod, "oracle_step", fail_at_two)
         report = verify_chain(chain)
