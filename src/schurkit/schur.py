@@ -904,7 +904,7 @@ def _forms_runs(state_dim: int, members: int, scalar: bool) -> bool:
 
 def _pure_char_residual(blocks, norms: np.ndarray, links: np.ndarray,
                         pair: DefectPair | None, theta: np.ndarray, pts: np.ndarray,
-                        tol: Tolerance, runs: bool = True):
+                        tol: Tolerance, runs: bool):
     """Transfer functions and pure_char residuals of a stack of family
     members whose io dimensions are the iterate's, measured on the grid for
     one member per run and bounded for the others.
@@ -924,14 +924,13 @@ def _pure_char_residual(blocks, norms: np.ndarray, links: np.ndarray,
     run is a maximal sequence of eligible members, each joined to the next
     by a finite certificate and an equal D; every other member is a run of
     its own.  Only the stacks that :func:`_forms_runs` selects, with
-    ``runs`` set, join runs at all.  The first member
-    of a run, its anchor, is measured: its transfer function and the
-    characteristic function of its state share one solve of I - lambda A.
-    Anchors are stacked by the ranks of D_A and D_A* so that their defect
-    bases stack, and each rank group makes one solve against [B | D_A* U];
-    its first io columns give the transfer functions, the others the
-    characteristic functions.  The residual
-    compares the pure part of the iterate with K phi M, phi the
+    ``runs`` set, join runs at all.  The first member of a run, its anchor,
+    is measured: its transfer function and the characteristic function of
+    its state share one solve of I - lambda A.  Anchors are stacked by the
+    ranks of D_A and D_A* so that their defect bases stack, and each rank
+    group makes one solve against [B | D_A* U]; its first io columns give
+    the transfer functions, the others the characteristic functions.  The
+    residual compares the pure part of the iterate with K phi M, phi the
     characteristic function of A* (V* (-A* U + lambda D_A R D_A* U), the
     transfer function of the colligation :func:`~schurkit.systems._char_blocks`
     gives, whose state block is A) and K = C D_A^+ V, M = U* D_A*^+ B, with
