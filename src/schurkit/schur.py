@@ -109,8 +109,8 @@ class _DividedEvaluator:
     run, so that all of them share it, and any other function gets the
     circle of depth 0.  Rule: r is the smallest radius >= 0.8 with
     r^-n_max <= 1e4, and N the smallest multiple of 8 with r^N <= 3.2e-16;
-    that is r = 0.8, N = 160 up to n_max = 41, and about
-    r = 0.91, N = 376 at n_max = 97.  Bounds: the Taylor coefficients of a
+    that is r = 0.8, N = 160 up to n_max = 41, and about r = 0.91, N = 376
+    at n_max = 97.  Bounds: the Taylor coefficients of a
     Schur-class function have norm <= 1, so the mean aliases by about
     r^N / (1 - r^N) <= 3.2e-16 and the read-off on the 0.6 ring by
     (0.6/r)^N <= 1e-20; rounding grows like r^-n at level n, so by at most
@@ -342,8 +342,8 @@ def schur_oracle(theta: SampledFunction, n_max: int,
     Each parameter is the mean of its iterate's circle, which the depth
     ``n_max`` chooses (see :class:`_DividedEvaluator`).  A step fails when
     a rank decision breaks down, typically on a parameter at the edge of
-    contractivity; the run then ends with the failing step in ``breakdown``.  The iterate
-    after parameter ``n_max`` is not formed.
+    contractivity; the run then ends with the failing step in
+    ``breakdown``.  The iterate after parameter ``n_max`` is not formed.
     """
     gammas: list[np.ndarray] = []
     defects: list[DefectPair] = []  # one per formed iterate
@@ -667,13 +667,14 @@ def verify_chain(chain: SchurChain, grid=None) -> ChainReport:
     certificates, in a family whose runs save more grid work than their
     bounds cost (:func:`_forms_runs`: (members - 1) state_dim^2 >= 256, or
     a matrix-valued iterate and 3 or more members); a correct such family
-    is one run, and in any other every member is measured.  Measured, per member and pair: unitarity and similarity; for the first
-    member of each run, its anchor, and for every member outside a run:
-    transfer_oracle and pure_char, from one solve of I - lambda A per point
-    shared by the transfer and the characteristic function, and
-    transfer_across_k of a pair that a run does not join (plus the drift of
-    member k when it is not an anchor).  Bounded, for every other member:
-    transfer_oracle, transfer_across_k and pure_char are the anchor's
+    is one run, and in any other every member is measured.  Measured, per
+    member and pair: unitarity and similarity; for the first member of each
+    run, its anchor, and for every member outside a run: transfer_oracle
+    and pure_char, from one solve of I - lambda A per point shared by the
+    transfer and the characteristic function, and transfer_across_k of a
+    pair that a run does not join (plus the drift of member k when it is
+    not an anchor).  Bounded, for every other member: transfer_oracle,
+    transfer_across_k and pure_char are the anchor's
     measured value plus proven terms from the certificates, the colligation
     norms and the member's defect decompositions, each with the rounding
     term 16 eps (state_dim + io) rho^2 per member compared, rho = 1/(1 -
