@@ -432,7 +432,10 @@ def member_reference(chain, grid=GRID) -> dict:
     """The unitarity, transfer, similarity and pure_char residuals of
     verify_chain, computed member by member from public functions on
     ``grid``; a similarity whose intertwiner does not fit its pair is left
-    out, and so is the pure_char of a member without KMX parameters."""
+    out, and so is the pure_char of a member without KMX parameters.  A
+    member with non-finite blocks is left out, and so are the transfer
+    residuals and pure_char of a member with other io dimensions than the
+    iterate's, with the pairs either enters."""
     pts = np.asarray(grid)
     seq = chain.params
     tol = chain.source.tol
@@ -446,8 +449,14 @@ def member_reference(chain, grid=GRID) -> dict:
         value = psi @ oracle.iterates[n](0) @ adj(omega)
         ep = la.defect_of(value, tol).space.basis
         fp = la.defect_of(value, tol, adjoint=True).space.basis
+        finite = [np.isfinite(s.colligation()).all() for s in family]
+        fits = [ok and (s.out_dim, s.in_dim) == aligned.shape[1:]
+                for s, ok in zip(family, finite)]
         for k, s in enumerate(family):
-            ref[f"unitarity[{n},{k}]"] = la.unitarity_residual(s.colligation())
+            if finite[k]:
+                ref[f"unitarity[{n},{k}]"] = la.unitarity_residual(s.colligation())
+            if not fits[k]:
+                continue
             ref[f"transfer_oracle[{n},{k}]"] = grid_distance(s.sampled(), aligned, pts)
             try:
                 kmx = decompose_kmx(s.block, tol)
@@ -457,6 +466,8 @@ def member_reference(chain, grid=GRID) -> dict:
             ref[f"pure_char[{n},{k}]"] = la.stack_matnorm_diff(
                 adj(fp) @ aligned @ ep, adj(fp) @ (kmx.k @ phi.on(pts) @ kmx.m) @ ep)
         for k, (s, t) in enumerate(zip(family, family[1:])):
+            if not (fits[k] and fits[k + 1]):
+                continue
             ref[f"transfer_across_k[{n},{k}]"] = grid_distance(s.sampled(), t.sampled(), pts)
             u = _lattice_intertwiner(chain, j, k)
             if u.shape == (t.state_dim, s.state_dim):
@@ -468,6 +479,26 @@ def _forms_runs(family) -> bool:
     """Whether verify_chain joins the members of ``family`` into runs."""
     s = family[0]
     return schur_mod._forms_runs(s.state_dim, len(family), s.in_dim * s.out_dim == 1)
+
+
+def _grid_solves(chain, grid=None):
+    """verify_chain's report on ``chain``, and per family n the number of
+    members of each 4-D np.linalg.solve it made, in order.  Each such solve
+    factors I - lambda A on the grid for a stack of members; the families
+    of a correct chain have distinct state dimensions, which tell them
+    apart."""
+    family_of = {f[0].state_dim: n for n, f in enumerate(chain.families, 1)}
+    solves, solve = {n: [] for n in family_of.values()}, np.linalg.solve
+
+    def recording(a, b):
+        if a.ndim == 4:
+            solves[family_of[a.shape[-1]]].append(a.shape[0])
+        return solve(a, b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "solve", recording)
+        report = verify_chain(chain, grid)
+    return report, solves
 
 
 def _measured(key: str) -> bool:
@@ -492,27 +523,54 @@ def _direct_sum_with_rotation(s, angle: float):
 
 
 class TestVerifyChain:
-    @pytest.mark.parametrize("state_dim, io_dim", [(6, 1), (8, 2), (3, 5), (1, 1), (10, 1),
-                                                   (16, 1), (40, 4)])
-    def test_residuals_bound_the_member_by_member_reference(self, state_dim, io_dim):
-        # each family that forms runs is one run, and every member of any
-        # other is measured: what is measured is, bit for bit, what its member
-        # gives alone, and every bound lies between that and the threshold of
-        # its kind
+    @pytest.mark.parametrize("state_dim, io_dim, radii", [
+        pytest.param(d, io, radii, id=f"{d}-{io}" + ("" if radii is None else "-radius_0.999"))
+        for radii in (None, (0.3, 0.9, 0.999))
+        for d, io in [(6, 1), (8, 2), (3, 5), (1, 1), (10, 1), (16, 1), (16, 2), (40, 4)]])
+    def test_residuals_bound_the_member_by_member_reference(self, state_dim, io_dim, radii):
+        # each family that forms runs is one run, whose anchor, member 0, is
+        # solved on the grid alone, and every member of any other is solved:
+        # what is measured is, bit for bit, what its member gives alone, and
+        # every bound lies between that and the threshold of its kind.  At
+        # radius 0.999, rho = 1/(1 - 0.999 nu) is about 1e3 for the members of
+        # norm 1, and on 12 state dimensions the rounding terms alone take the
+        # across-k bounds past 1e-7: such a run solves its other members after
+        # its anchor and is measured member by member, and the chain verifies
+        grid = GRID if radii is None else disk_grid(radii)
         for seed in range(5):
-            chain = build_chain(random_conservative_system(
-                state_dim, io_dim, np.random.default_rng(seed)))
-            ref = member_reference(chain)
-            got = {key: value for key, value in verify_chain(chain).residuals.items()
+            chain = _chain(state_dim, io_dim, seed)
+            report, solves = _grid_solves(chain, None if radii is None else grid)
+            ref = member_reference(chain, grid)
+            got = {key: value for key, value in report.residuals.items()
                    if key.startswith(("unitarity[", "transfer_", "similarity[", "pure_char["))}
             assert list(got) == [key for key in got if key in ref] and set(ref) == set(got)
-            small = {n for n, f in enumerate(chain.families, 1) if not _forms_runs(f)}
+            runs = [n for n, f in enumerate(chain.families, 1) if _forms_runs(f)]
+            for n, f in enumerate(chain.families, 1):
+                assert solves[n] == [1] or sum(solves[n]) == len(f), (seed, n)
+                assert n not in runs or solves[n][0] == 1, (seed, n)
+            measured = {n for n in solves if solves[n] != [1] or n not in runs}
             for key, value in got.items():
-                if _measured(key) or int(key.split("[")[1].split(",")[0]) in small:
+                if _measured(key) or int(key.split("[")[1].split(",")[0]) in measured:
                     assert value == ref[key], (seed, key)
                 else:
                     kind = key.split("[")[0]
                     assert ref[key] <= value <= CHAIN_THRESHOLDS[kind], (seed, key)
+            if radii is not None and (state_dim, io_dim, seed) == (16, 2, 1):
+                assert report.ok
+                caught = measured & set(runs)
+                assert min(runs) in caught and caught != set(runs)
+                assert min(caught) == 2 and chain.families[1][0].state_dim == 12
+
+    @pytest.mark.parametrize("state_dim, io_dim, seed", [(40, 4, 3), (16, 2, 1)])
+    def test_no_member_is_solved_twice(self, state_dim, io_dim, seed):
+        # near the unit circle the bounds of a run can fail only after its
+        # anchor is solved; the other members are solved then, and the
+        # anchor is not solved again
+        chain = _chain(state_dim, io_dim, seed)
+        report, solves = _grid_solves(chain, disk_grid((0.3, 0.9, 0.999)))
+        assert report.ok
+        for n, f in enumerate(chain.families, 1):
+            assert sum(solves[n]) <= len(f), (n, solves[n])
 
     def test_ragged_family_is_reported(self):
         # a member on a larger state space cannot stack with its family: it
@@ -797,9 +855,9 @@ class TestVerifyChain:
         family[-1][0] = discrete_system(*(1.01 * blk for blk in (victim.d, victim.c,
                                                                   victim.b, victim.a)))
         residual = schur_mod._pure_char_residual
-        expected, is_anchor = [], []
+        expected, measured = [], []
 
-        def with_reference(blocks, colligations, links, pair, theta, pts, tol, runs):
+        def with_reference(blocks, colligations, links, pair, theta, pts, tol):
             for s in (discrete_system(*member) for member in zip(*blocks)):
                 try:
                     kmx = decompose_kmx(s.block, tol)
@@ -809,45 +867,37 @@ class TestVerifyChain:
                         adj(fp) @ theta @ ep, adj(fp) @ (kmx.k @ phi.on(pts) @ kmx.m) @ ep))
                 except SchurkitError:
                     expected.append(float("inf"))
-            got = residual(blocks, colligations, links, pair, theta, pts, tol, runs)
-            is_anchor.extend(got[2] == np.arange(len(got[2])))
+            got = residual(blocks, colligations, links, pair, theta, pts, tol)
+            # bounds come with a run, whose anchor alone is measured
+            measured.extend(np.arange(len(got[1])) < (len(got[1]) if got[2] is None else 1))
             return got
 
         monkeypatch.setattr(schur_mod, "_pure_char_residual", with_reference)
         report = verify_chain(dataclasses.replace(chain, families=family))
         reported = [v for k, v in report.residuals.items() if k.startswith("pure_char[")]
         assert len(reported) == sum(len(f) for f in family)
-        for value, want, measured in zip(reported, expected, is_anchor):
-            if measured:
+        for value, want, solved in zip(reported, expected, measured):
+            if solved:
                 assert value == want
             else:
                 assert want <= value <= CHAIN_THRESHOLDS["pure_char"]
         # a family that forms runs is one run, but for the victim's, which
-        # splits into the victim and a run of the rest; in any other family
-        # every member is measured
-        runs = [_forms_runs(f) for f in family]
-        assert is_anchor.count(True) == sum(
-            1 if r else len(f) for r, f in zip(runs, family)) + runs[-1]
+        # is measured member by member as every other family is
+        runs = [_forms_runs(f) for f in family[:-1]] + [False]
+        assert measured.count(True) == sum(1 if r else len(f) for r, f in zip(runs, family))
         assert report.residuals[f"pure_char[{len(family)},0]"] == float("inf")
         assert reported.count(float("inf")) == 1
 
     @pytest.mark.parametrize("tamper", ["shift", "rotate"])
     @pytest.mark.parametrize("state_dim, io_dim, seed, n, k", [(16, 2, 3, 2, 1), (24, 1, 0, 4, 3)])
-    def test_tampered_member_is_caught(self, monkeypatch, tamper, state_dim, io_dim, seed,
-                                       n, k):
-        # member k >= 1 with 1e-3 added to its B, which leaves its run and is
-        # measured, or with B and A turned by a state rotation of angle 1e-3,
-        # which keeps its colligation unitary and its place in the run, where
-        # the bounds of its family catch it and are replaced by measurements:
-        # the certificates that pair it fail, and so do its transfer residuals
+    def test_tampered_member_is_caught(self, tamper, state_dim, io_dim, seed, n, k):
+        # member k >= 1 with 1e-3 added to its B, which takes its colligation
+        # past norm 1, so that its family is measured member by member, or
+        # with B and A turned by a state rotation of angle 1e-3, which keeps
+        # its colligation unitary and its family one run, whose bounds catch
+        # it after the anchor is solved: the other members are solved then.
+        # The certificates that pair it fail, and so do its transfer residuals
         chain = _chain(state_dim, io_dim, seed)
-        decisions, bound_fails = [], schur_mod._bound_fails
-
-        def recording(*args):
-            decisions.append(bound_fails(*args))
-            return decisions[-1]
-
-        monkeypatch.setattr(schur_mod, "_bound_fails", recording)
         family = [list(f) for f in chain.families]
         victim = family[n - 1][k]
         if tamper == "shift":
@@ -858,7 +908,7 @@ class TestVerifyChain:
             b, a = turn[:, None] * victim.b, turn[:, None] * victim.a
         family[n - 1][k] = discrete_system(victim.d, victim.c, b, a)
         tampered = dataclasses.replace(chain, families=family)
-        report = verify_chain(tampered)
+        report, solves = _grid_solves(tampered)
         failures = report.failures()
         assert not report.ok
         for key in (f"similarity[{n},{k - 1}]", f"similarity[{n},{k}]",
@@ -869,8 +919,12 @@ class TestVerifyChain:
         for key in (f"transfer_oracle[{n},{k}]", f"transfer_across_k[{n},{k}]"):
             assert report.residuals[key] >= ref[key]
         assert la.is_unitary(family[n - 1][k].colligation()) == (tamper == "rotate")
-        if tamper == "rotate":
-            assert decisions.count(True) == 1
+        # every other family is solved as in the correct chain
+        assert _forms_runs(family[n - 1])
+        assert {m: solves[m] for m in solves if m != n} == {
+            m: [1] if _forms_runs(f) else [len(f)] for m, f in enumerate(family, 1) if m != n}
+        assert sum(solves[n]) == len(family[n - 1])
+        assert (solves[n][0] == 1) == (tamper == "rotate")
 
     def test_indefinite_defect_fails_its_member_alone(self):
         # scaled by 1 + 0.8e-9, a member passes both norm checks at eq_abs,
@@ -883,20 +937,20 @@ class TestVerifyChain:
         assert la.opnorm(family[1][1].colligation()) <= 1 + la.DEFAULT_TOL.eq_abs
         report = verify_chain(dataclasses.replace(chain, families=family)).residuals
         base = verify_chain(chain).residuals
-        pure = {key: v for key, v in report.items() if key.startswith("pure_char[")}
-        assert pure.pop("pure_char[2,1]") == float("inf")
-        assert pure == {key: v for key, v in base.items()
-                        if key.startswith("pure_char[") and key != "pure_char[2,1]"}
+        assert report["pure_char[2,1]"] == float("inf")
+        assert list(report) == list(base)
+        moved = {"unitarity[2,1]", "transfer_oracle[2,1]", "pure_char[2,1]"} | {
+            f"{kind}[2,{k}]" for kind in ("transfer_across_k", "similarity") for k in (0, 1)}
+        assert {key for key in report if report[key] != base[key]} == moved
 
     @pytest.mark.parametrize("tamper", ["ragged", "other_io", "non_finite", "indefinite"])
-    def test_member_out_of_its_run_is_reported(self, tamper):
+    def test_member_out_of_its_run_measures_its_family(self, tamper):
         # on 20 state dimensions family 4 of a (24,1) chain is one run.
         # Member 2 put on a larger state, given io dims 2, a nan entry or an
-        # indefinite defect (scaled by 1 + 0.8e-9) leaves it, and the family
-        # splits into the runs {0, 1}, {2} and {3, 4}: member 2 fails as it
-        # does on a small state, the anchors 0 and 3 and the pair (2, 3) are
-        # measured, the other members and pairs bounded from their anchors,
-        # and no residual of another family moves
+        # indefinite defect (scaled by 1 + 0.8e-9) takes the family off its
+        # run: member 2 fails as it does on a small state, every member of
+        # the family is measured, bit for bit what it gives alone, and no
+        # residual of another family moves
         chain = _chain(24, 1, 0)
         n, k = 4, 2
         family = [list(f) for f in chain.families]
@@ -928,62 +982,14 @@ class TestVerifyChain:
         assert list(report) == list(base)
         assert set(verify_chain(tampered).failures()) == fails | scaled
         assert all(report[key] == float("inf") for key in fails)
-        own = unfit | {f"unitarity[{n},{k}]"}
-        measured = {f"{kind}[{n},{j}]" for kind in ("transfer_oracle", "pure_char")
-                    for j in (0, k + 1)}
-        ref = member_reference(chain)
+        ref = member_reference(tampered)
         for key, value in report.items():
-            kind = key.split("[")[0]
             if f"[{n}," not in key:
                 assert value == base[key], key
-            elif key in own:
-                continue
-            elif key in measured or kind in ("unitarity", "similarity"):
+            elif key in ref:
                 assert value == ref[key], key
-            else:  # a bound, above the measurement
-                assert ref[key] < value <= CHAIN_THRESHOLDS[kind], key
-        # member 2 is measured alone, and its pair with member 1 bounded
-        if tamper == "other_io":
-            assert report[f"unitarity[{n},{k}]"] == la.unitarity_residual(member.colligation())
-        elif tamper != "non_finite":
-            alone = member_reference(tampered)
-            for key in own - fails:
-                if key == f"transfer_across_k[{n},{k - 1}]":
-                    assert alone[key] < report[key] <= CHAIN_THRESHOLDS["transfer_across_k"]
-                else:
-                    assert report[key] == alone[key], key
-
-    def test_bounds_past_their_thresholds_are_measured(self, monkeypatch):
-        # at radius 0.999, rho = 1/(1 - 0.999 nu) is about 1e3 for the
-        # members of norm 1, and on 12 state dimensions the rounding terms
-        # alone take the across-k bounds past 1e-7: that family is measured
-        # member by member instead, bit for bit what each member gives
-        # alone, the smaller ones keep their bounds, and the chain verifies
-        # as it does on the default grid
-        grid = disk_grid((0.3, 0.9, 0.999))
-        chain = _chain(16, 2, 1)
-        decisions, bound_fails = [], schur_mod._bound_fails
-
-        def recording(*args):
-            decisions.append(bound_fails(*args))
-            return decisions[-1]
-
-        monkeypatch.setattr(schur_mod, "_bound_fails", recording)
-        report = verify_chain(chain, grid)
-        assert report.ok
-        runs = [n for n, f in enumerate(chain.families, 1) if _forms_runs(f)]
-        assert len(decisions) == len(runs) and decisions[0] and not all(decisions)
-        measured = {n for n, caught in zip(runs, decisions) if caught}
-        assert min(measured) == 2 and chain.families[1][0].state_dim == 12
-        ref = member_reference(chain, grid)
-        for key, value in report.residuals.items():
-            if key not in ref:
-                continue
-            n = int(key.split("[")[1].split(",")[0])
-            if n in measured or n not in runs or _measured(key):
-                assert value == ref[key], key
-            else:
-                assert ref[key] <= value <= CHAIN_THRESHOLDS[key.split("[")[0]], key
+            else:  # a residual that no reference gives: one of the victim's
+                assert key in fails, key
 
     @pytest.mark.parametrize("entry", [2.0, np.nan])
     def test_iterate_without_defect_pair_fails_its_family(self, monkeypatch, entry):
