@@ -220,6 +220,16 @@ def _parse_radii(text: str) -> tuple[float, ...]:
     return radii
 
 
+def _parse_n_max(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad step count {text!r}") from exc
+    if n < 0:
+        raise argparse.ArgumentTypeError("the step count must be at least 0")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     """One subcommand per verb, each with only the flags its runner reads."""
     parser = argparse.ArgumentParser(
@@ -241,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--input", dest="input_path")
         p.add_argument("--output", dest="output_path")
         if verb in ("analyze", "schur", "realize", "verify"):
-            p.add_argument("--n-max", dest="n_max", type=int)
+            p.add_argument("--n-max", dest="n_max", type=_parse_n_max)
         p.add_argument("--rank-tol", dest="rank_tol", type=float, default=la.DEFAULT_TOL.rank_rel)
         p.add_argument("--eq-tol", dest="eq_tol", type=float, default=la.DEFAULT_TOL.eq_abs)
         if verb in ("schur", "verify", "sample"):

@@ -288,16 +288,19 @@ def _squared_keep(w: np.ndarray, tol: Tolerance) -> np.ndarray:
     return w > tol.rank_rel * np.maximum(1.0, w.max(axis=-1, initial=0.0, keepdims=True))
 
 
-def defect_stack(x: np.ndarray, tol: Tolerance = DEFAULT_TOL, adjoint: bool = False):
-    """The defect rank decision of :func:`defect_of` on a stack ``x``
-    (..., rows, cols), one decision per matrix.
-
-    Returns ``(op, op_pinv, vecs, keep, lowest)``: the defect operators and
-    their pseudo-inverses, then the eigenvectors, the kept mask and the
-    lowest eigenvalue of the shared decision.
-    """
+def _checked_decision(x: np.ndarray, tol: Tolerance, adjoint: bool):
+    """The rank decision ``(w, vecs, keep)`` of :func:`_defect_decision` on
+    one matrix ``x``, made only for a contraction: raises
+    :class:`NotContraction` on a non-finite entry and
+    :class:`IndefiniteBeyondTolerance` on a defect eigenvalue below -eq_abs."""
+    if not np.isfinite(x).all():
+        raise NotContraction("matrix has a non-finite entry; not a contraction")
     w, v, keep, lowest = _defect_decision(x, tol, adjoint)
-    return (*_defect_ops(w, v, keep), v, keep, lowest)
+    if lowest < -tol.eq_abs:
+        raise IndefiniteBeyondTolerance(
+            f"defect eigenvalue {lowest:.3e} < -eq_abs; not a contraction"
+        )
+    return w, v, keep
 
 
 def _defect_ops(w: np.ndarray, v: np.ndarray, keep: np.ndarray):
@@ -336,14 +339,9 @@ def defect_of(x: np.ndarray, tol: Tolerance = DEFAULT_TOL, adjoint: bool = False
     the defect space.  A matrix with a non-finite entry is no contraction.
     """
     x = cmatrix(x)
-    if not np.isfinite(x).all():
-        raise NotContraction("matrix has a non-finite entry; not a contraction")
     n = x.shape[0] if adjoint else x.shape[1]
-    op, op_pinv, v, keep, lowest = defect_stack(x, tol, adjoint)
-    if lowest < -tol.eq_abs:
-        raise IndefiniteBeyondTolerance(
-            f"defect eigenvalue {lowest:.3e} < -eq_abs; not a contraction"
-        )
+    w, v, keep = _checked_decision(x, tol, adjoint)
+    op, op_pinv = _defect_ops(w, v, keep)
     k = int(np.sum(keep))
     space = Subspace(n, defect_basis(v, keep))
     if k == 0:

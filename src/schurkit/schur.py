@@ -80,6 +80,15 @@ def _defect_pair(g: np.ndarray, tol: Tolerance) -> DefectPair:
     return la.defect_of(g, tol), la.defect_of(g, tol, adjoint=True)
 
 
+def _defect_bases(g: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """(E, F): the bases of the defect spaces of g and g*, from the two rank
+    decisions of :func:`_defect_pair` without its defect operators.  Raises
+    as :func:`~schurkit.linalg.defect_of` does on a non-contraction."""
+    e, f = (la.defect_basis(*la._checked_decision(g, tol, adjoint)[1:])
+            for adjoint in (False, True))
+    return e, f
+
+
 # The oracle's circle rule and read-off disk (see _DividedEvaluator).
 _MIN_RADIUS = 0.8
 _GROWTH_BUDGET = 1e4
@@ -93,6 +102,20 @@ def _oracle_circle(n_max: int) -> np.ndarray:
     r = max(_MIN_RADIUS, _GROWTH_BUDGET ** (-1.0 / n_max)) if n_max > 0 else _MIN_RADIUS
     n = 8 * int(np.ceil(np.log(_ALIAS_BOUND) / np.log(r) / 8))
     return r * np.exp(2j * np.pi * np.arange(n) / n)
+
+
+def _in_bases(m: np.ndarray, rows: Subspace, cols: Subspace) -> np.ndarray:
+    """F* M E, per matrix of a stack, for the bases F of ``rows`` and E of
+    ``cols``, two defect spaces.  A full defect space has the identity basis
+    (see :func:`~schurkit.linalg.defect_basis`), whose product is skipped.
+    For a finite M the values are the same.  An entry inf of M stays as it
+    is, where the product would spread nan (inf * 0) over the rest of its
+    column or row; the result is non-finite either way."""
+    if rows.dim < rows.ambient_dim:
+        m = adj(rows.basis) @ m
+    if cols.dim < cols.ambient_dim:
+        m = m @ cols.basis
+    return m
 
 
 class _DividedEvaluator:
@@ -114,9 +137,13 @@ class _DividedEvaluator:
     Schur-class function have norm <= 1, so the mean aliases by about
     r^N / (1 - r^N) <= 3.2e-16 and the read-off on the 0.6 ring by
     (0.6/r)^N <= 1e-20; rounding grows like r^-n at level n, so by at most
-    1e4 over the run.  The last array that sampled theta is kept as well,
-    so that iterates sampled level by level on one grid sample each level
-    once.
+    1e4 over the run.
+
+    A level asks theta only for the points it divides at, |z| >= 0.65 (every
+    point when it does not divide), and keeps the last array of them with
+    its values, so that iterates sampled level by level on one grid solve
+    each level there once, and the source function is sampled only on the
+    circle, at 0 and at the grid's points outside the read-off disk.
     """
 
     def __init__(self, theta: SampledFunction, gamma: np.ndarray, tol: Tolerance,
@@ -125,17 +152,17 @@ class _DividedEvaluator:
         dd, dds = self.defects
         self.dom, self.cod = dd.space, dds.space
         self.theta, self.gamma, self.divide = theta, gamma, divide
-        self.d_restr = adj(self.cod.basis) @ dds.op @ self.cod.basis
-        self.j_restr = adj(self.dom.basis) @ dd.op_pinv @ self.dom.basis
+        self.d_restr = _in_bases(dds.op, self.cod, self.cod)
+        self.j_restr = _in_bases(dd.op_pinv, self.dom, self.dom)
         self.points = points
         self.circle: np.ndarray | None = None
         self.last: tuple[np.ndarray, np.ndarray] | None = None
 
     def _core(self, pts: np.ndarray, t: np.ndarray) -> np.ndarray:
         """The value at ``pts`` from the stack ``t`` of theta there."""
-        eb, fb, g = self.dom.basis, self.cod.basis, self.gamma
-        pencil = adj(fb) @ (la.eye(g.shape[0]) - t @ adj(g)) @ fb
-        num = adj(fb) @ (t - g) @ eb
+        g = self.gamma
+        pencil = _in_bases(la.eye(g.shape[0]) - t @ adj(g), self.cod, self.cod)
+        num = _in_bases(t - g, self.cod, self.dom)
         value = self.d_restr @ np.linalg.solve(pencil, num) @ self.j_restr
         return value / pts[:, None, None] if self.divide else value
 
@@ -145,17 +172,17 @@ class _DividedEvaluator:
                 self.circle = self._core(self.points, self.theta.on(self.points))
                 self.circle.flags.writeable = False
             return self.circle
-        if self.last is not None and np.array_equal(pts, self.last[0]):
-            return self.last[1]
         inside = np.abs(pts) < (_READ_OFF_RADIUS if self.divide else 0.0)
         values = np.empty((pts.shape[0], self.cod.dim, self.dom.dim), dtype=complex)
         if inside.any():
             kernel = 1.0 / (1.0 - pts[inside, None] / self.points) / len(self.points)
             flat = kernel @ self(self.points).reshape(len(self.points), -1)
             values[inside] = flat.reshape((len(flat),) + values.shape[1:])
-        if not inside.all():  # an array read off the circle alone is not kept
-            values[~inside] = self._core(pts[~inside], self.theta.on(pts)[~inside])
-            self.last = (pts.copy(), values)
+        if not inside.all():
+            outer = pts[~inside]
+            if self.last is None or not np.array_equal(outer, self.last[0]):
+                self.last = (outer, self._core(outer, self.theta.on(outer)))
+            values[~inside] = self.last[1]
         values.flags.writeable = False
         return values
 
@@ -640,7 +667,8 @@ def verify_chain(chain: SchurChain, grid=None) -> ChainReport:
     alignment; (b) transfer functions of every iterate realization versus the
     oracle iterate, and across k; (c) unitary-similarity certificates across
     k; (d) characteristic function of the compressed state versus the pure
-    part of the oracle iterate on the defect pair of its value at 0; (e)
+    part of the oracle iterate on the defect spaces of its value at 0 and
+    of that value's adjoint, of which only the bases are taken; (e)
     colligation unitarity and shape bookkeeping; (f) whether the oracle ends
     where the chain does, unitary at gamma's threshold exactly when it
     terminated.  Failures are reported, never raised; an oracle breakdown is
@@ -665,7 +693,8 @@ def verify_chain(chain: SchurChain, grid=None) -> ChainReport:
     As one run: when the family is one stack of finite members with the
     iterate's io dimensions, :func:`_forms_runs` selects it ((members - 1)
     state_dim^2 >= 256, or a matrix-valued iterate and 3 or more members),
-    the oracle's value at 0 has a defect pair, and every member has a
+    the oracle's value at 0 has defect bases (it is finite and its defects
+    are definite), and every member has a
     contractive colligation, definite defects, a finite certificate to the
     next member and an equal D, member 0 is measured and the others are
     bounded from it (see :func:`_pure_char_residual`).  A bound is at least
@@ -738,9 +767,9 @@ def verify_chain(chain: SchurChain, grid=None) -> ChainReport:
         theta_o = oracle.iterates[n]
         aligned = psi @ theta_o.on(pts) @ adj(omega)
         try:
-            pair = _defect_pair(psi @ theta_o(0) @ adj(omega), tol)
+            bases = _defect_bases(psi @ theta_o(0) @ adj(omega), tol)
         except SchurkitError:
-            pair = None
+            bases = None
         finite = np.array([_is_finite(s) for s in family])
         fits = finite & np.array([(s.out_dim, s.in_dim) == aligned.shape[1:] for s in family])
         intertwiners = [_lattice_intertwiner(chain, idx, k) for k in range(len(family) - 1)]
@@ -764,7 +793,7 @@ def verify_chain(chain: SchurChain, grid=None) -> ChainReport:
                     np.array([intertwiners[k] for k in ks]))
             if fits[members[0]]:
                 stacks.append((members, blocks, norms, links))
-        to_oracle, across_k, pure = _family_transfers(stacks, fits, pair, aligned, pts, tol)
+        to_oracle, across_k, pure = _family_transfers(stacks, fits, bases, aligned, pts, tol)
         for k in range(len(family)):
             report.add("unitarity", f"{n},{k}", unitarity[k])
             report.add("transfer_oracle", f"{n},{k}", to_oracle[k])
@@ -775,7 +804,7 @@ def verify_chain(chain: SchurChain, grid=None) -> ChainReport:
     return report
 
 
-def _family_transfers(stacks, fits: np.ndarray, pair: DefectPair | None,
+def _family_transfers(stacks, fits: np.ndarray, bases: tuple | None,
                       aligned: np.ndarray, pts: np.ndarray, tol: Tolerance):
     """(transfer_oracle, transfer_across_k, pure_char) of a family whose members
     ``fits`` selects are stacked in ``stacks`` as (members, blocks, norms,
@@ -785,7 +814,7 @@ def _family_transfers(stacks, fits: np.ndarray, pair: DefectPair | None,
     whole = len(stacks) == 1 and len(stacks[0][0]) == len(fits)
     for members, blocks, norms, links in stacks:
         transfers[members], pure[members], bounds = _pure_char_residual(
-            blocks, norms, links if whole else None, pair, aligned, pts, tol)
+            blocks, norms, links if whole else None, bases, aligned, pts, tol)
         if bounds is not None:
             return *bounds, pure
     to_oracle = grid_distance(transfers, np.broadcast_to(aligned, transfers.shape), pts)
@@ -846,7 +875,7 @@ def _forms_runs(state_dim: int, members: int, scalar: bool) -> bool:
 
 
 def _pure_char_residual(blocks, norms: np.ndarray, links: np.ndarray | None,
-                        pair: DefectPair | None, theta: np.ndarray, pts: np.ndarray,
+                        bases: tuple | None, theta: np.ndarray, pts: np.ndarray,
                         tol: Tolerance):
     """Transfer functions and pure_char residuals of a stack of family
     members whose io dimensions are the iterate's.
@@ -854,8 +883,9 @@ def _pure_char_residual(blocks, norms: np.ndarray, links: np.ndarray | None,
     ``blocks`` are the members' stacked (d, c, b, a), ``norms`` the norms
     nu of their [D C; B A] and ``links[i]`` the similarity certificate s of
     members i and i+1, None when the stack is not its whole family;
-    ``theta`` is the iterate's stack on ``pts`` and ``pair`` the defect pair
-    of its value at 0, None when either failed.  Returns (transfers,
+    ``theta`` is the iterate's stack on ``pts`` and ``bases`` the bases
+    (E, F) of the defect spaces of its value at 0 and of that value's
+    adjoint, None when either failed.  Returns (transfers,
     residuals, bounds): per member its transfer function on ``pts`` and its
     pure_char residual, and the (transfer_oracle, transfer_across_k) of a
     run, None when every member is measured.
@@ -867,11 +897,11 @@ def _pure_char_residual(blocks, norms: np.ndarray, links: np.ndarray | None,
     ranks of D_A and D_A*; its residual compares the pure part of the
     iterate with K phi M, K = C D_A^+ V and M = U* D_A*^+ B, with U and V
     bases of the defect spaces of A* and A.  The residual is inf when
-    ``pair`` is None or the member is not eligible: a contractive
+    ``bases`` is None or the member is not eligible: a contractive
     colligation (nu <= 1 + eq_abs) and both defect eigenvalue sets above
     -eq_abs; such a member is solved against B alone.
 
-    The stack is one run when ``links`` and ``pair`` are given,
+    The stack is one run when ``links`` and ``bases`` are given,
     :func:`_forms_runs` selects it, and every member is eligible, has a
     finite certificate to the next and member 0's D.  Only member 0, the
     anchor, is then solved, and the others are bounded.  With R = (I -
@@ -885,7 +915,7 @@ def _pure_char_residual(blocks, norms: np.ndarray, links: np.ndarray | None,
     P_A*) B, of norm <= r = |lambda| rho nu (||C - C P_A|| + ||B - P_A* B||).
     So member j drifts from the anchor by at most sum_{i < j} b_i + t_0 +
     t_j, and pure_char(j) <= pure_char(0) + drift + r_0 + r_j + ||F* (c_j -
-    c_0) E||, E and F the bases of ``pair``, in Frobenius norms, which bound
+    c_0) E||, with (E, F) = ``bases``, in Frobenius norms, which bound
     the spectral ones; each term is taken at the grid's largest |lambda|,
     where it is largest.  The rounding term t = 16 eps (state_dim + io) rho^2
     keeps a bound at least the measurement also where a certificate is 0.
@@ -902,8 +932,8 @@ def _pure_char_residual(blocks, norms: np.ndarray, links: np.ndarray | None,
     w_as, vecs_as, keep_as, low_as = la._defect_decision(a_star, tol, adjoint=False)
     w_a, vecs_a, keep_a, low_a = la._defect_decision(a_star, tol, adjoint=True)
     definite = np.flatnonzero(np.minimum(low_a, low_as) >= -tol.eq_abs)
-    if pair is not None:
-        ep, fp = pair[0].space.basis, pair[1].space.basis
+    if bases is not None:
+        ep, fp = bases
         target = adj(fp) @ theta @ ep
 
     def measure(part: slice):
@@ -911,7 +941,7 @@ def _pure_char_residual(blocks, norms: np.ndarray, links: np.ndarray | None,
         # rank group against [B | D_A* U], the others against B alone
         unsolved = np.zeros(len(d), dtype=bool)
         unsolved[part] = True
-        if pair is not None:
+        if bases is not None:
             ranks = zip(keep_a[definite].sum(-1), keep_as[definite].sum(-1))
             for sel in (definite[g] for g in _index_groups(ranks)):
                 sel = sel[unsolved[contractive[sel]]]
@@ -938,7 +968,7 @@ def _pure_char_residual(blocks, norms: np.ndarray, links: np.ndarray | None,
         if unsolved.any():
             transfers[unsolved] = transfer_stack(*(x[unsolved] for x in blocks), pts)
 
-    if not (links is not None and pair is not None and len(definite) == len(d)
+    if not (links is not None and bases is not None and len(definite) == len(d)
             and _forms_runs(a.shape[-1], len(d), c.shape[-2] * b.shape[-1] == 1)
             and np.isfinite(links).all() and (d[:-1] == d[1:]).all()):
         measure(slice(None))

@@ -100,11 +100,14 @@ def resolvent_stack(a: np.ndarray, rhs: np.ndarray, pts: np.ndarray) -> np.ndarr
     """(I - lambda A)^{-1} R on a 1-D array of P points, by one stacked solve.
 
     ``a`` and ``rhs`` are matrices, giving a (P, s, k) stack, or (K, ...)
-    stacks, giving (K, P, s, k).
+    stacks, giving (K, P, s, k).  The pencils I - lambda A are formed in
+    place, in the one (..., P, s, s) array that the solve reads.
     """
     lam = pts[:, None, None]
     a, rhs = a[..., None, :, :], rhs[..., None, :, :]
-    return la.solve_stack(la.eye(a.shape[-1]) - lam * a, rhs)
+    pencil = lam * a
+    np.subtract(la.eye(a.shape[-1]), pencil, out=pencil)
+    return la.solve_stack(pencil, rhs)
 
 
 def transfer_stack(d: np.ndarray, c: np.ndarray, b: np.ndarray, a: np.ndarray,
@@ -467,7 +470,11 @@ def random_conservative_system(
     rng: np.random.Generator,
     tol: Tolerance = DEFAULT_TOL,
 ) -> DiscreteSystem:
-    """Haar-random unitary colligation, rejection-sampled to be simple."""
+    """Haar-random unitary colligation, rejection-sampled to be simple.
+
+    Raises :class:`NotSimpleConservative` when no draw is simple, as with
+    no input or output (io_dim = 0) on a nonzero state.
+    """
     return _draw_simple_conservative(state_dim, io_dim, rng, tol)[0]
 
 
@@ -485,4 +492,6 @@ def _draw_simple_conservative(
         cls = sys.classify()
         if cls.conservative and cls.simple:
             return sys, cls
-    raise RuntimeError("failed to draw a simple conservative system")
+    raise NotSimpleConservative(
+        f"no simple conservative system of state dimension {state_dim} and io dimension "
+        f"{io_dim} in {_MAX_DRAWS} draws")

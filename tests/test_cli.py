@@ -328,6 +328,27 @@ def test_bad_grid_radii_are_rejected(system_path, radii):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("n_max", ["-1", "-3", "x"])
+@pytest.mark.parametrize("verb", ["analyze", "schur", "realize", "verify"])
+def test_bad_n_max_is_rejected(system_path, verb, n_max):
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--input", str(system_path), "--n-max", n_max])
+    assert exc.value.code == 2
+
+
+def test_n_max_zero_checks_gamma_0_alone(system_path, capsys):
+    assert main(["verify", "--input", str(system_path), "--n-max", "0"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["gammas"]) == 1
+
+
+def test_random_without_a_simple_draw_is_a_validation_error(capsys):
+    # with no input and output no draw on a nonzero state is simple
+    assert main(["random", "--state-dim", "2", "--io-dim", "0"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: no simple conservative system")
+
+
 def test_non_square_state_block_is_a_validation_error(tmp_path, capsys):
     # the blocks agree with a header with h = 2 and k = 3, but a
     # discrete-time system needs a square state block

@@ -168,6 +168,54 @@ class TestOracleCircle:
         assert r ** -n_max <= 1e4 * (1 + 1e-12) and r ** points <= 3.2e-16 < r ** (points - 8)
         assert r == 0.8 if n_max <= 41 else (0.999 * r) ** -n_max > 1e4
 
+    @pytest.mark.parametrize("state_dim, io_dim", [(5, 2), (3, 5)])
+    def test_levels_solve_only_where_they_divide(self, monkeypatch, state_dim, io_dim):
+        # verify_chain samples the source on the circle, at 0 for Gamma_0 and,
+        # through level 1, at the 8 grid points outside the read-off disk,
+        # never at the 17 inside it; (3,5) terminates at step 1, so it has
+        # no family to sample on the grid.  Each iterate equals, bit for bit on the
+        # grid and at 0, the one built with the products by the identity
+        # basis of a full defect space: levels 1 and 2 of (5,2) have full
+        # defects, level 3 (Gamma_2 has a unitary part) and level 1 of (3,5)
+        # (Gamma_0 has one) partial ones
+        chain = _chain(state_dim, io_dim, 1)
+        source, seen = chain.source, []
+        transfer = source._transfer_stack
+
+        def recording(pts):
+            seen.append(pts.copy())
+            return transfer(pts)
+
+        monkeypatch.setattr(source, "_transfer_stack", recording)
+        verify_chain(chain)
+        grid = np.asarray(disk_grid())
+        outer = grid[np.abs(grid) >= 0.65]
+        wanted = [np.zeros(1), schur_mod._oracle_circle(len(chain.params) - 1)]
+        wanted += [outer] if chain.families else []
+        assert len(seen) == len(wanted) and len(outer) == 8
+        assert all(any(np.array_equal(p, q) for p in seen) for q in wanted)
+
+        def sampled(oracle):
+            return [np.concatenate([f.on(grid), f.on([0j])]) for f in oracle.iterates[1:]]
+
+        oracle = schur_oracle(chain.source.sampled(), len(chain.params) - 1)
+        spaces = [(f.eval_fn.dom, f.eval_fn.cod) for f in oracle.iterates[1:]]
+        full = [all(s.dim == s.ambient_dim for s in pair) for pair in spaces]
+        assert full == ([True, True, False] if io_dim == 2 else [False])
+        values = sampled(oracle)
+
+        def explicit_core(self, pts, t):
+            (dd, dds), eb, fb, g = self.defects, self.dom.basis, self.cod.basis, self.gamma
+            pencil = adj(fb) @ (la.eye(g.shape[0]) - t @ adj(g)) @ fb
+            num = adj(fb) @ (t - g) @ eb
+            value = ((adj(fb) @ dds.op @ fb) @ np.linalg.solve(pencil, num)
+                     @ (adj(eb) @ dd.op_pinv @ eb))
+            return value / pts[:, None, None] if self.divide else value
+
+        monkeypatch.setattr(schur_mod._DividedEvaluator, "_core", explicit_core)
+        reference = sampled(schur_oracle(chain.source.sampled(), len(chain.params) - 1))
+        assert all(np.array_equal(v, r) for v, r in zip(values, reference, strict=True))
+
     def test_grid_outside_the_read_off_disk_is_divided_at_the_point(self):
         report = verify_chain(_chain(8, 1, 1), disk_grid((0.3, 0.95, 0.99)))
         assert report.ok
@@ -687,7 +735,9 @@ class TestVerifyChain:
         # validate and the composition of a terminated sequence decompose
         # nothing, choice_sequence decomposes each non-terminal parameter
         # once (20, 40, 40 and 58 calls when each call site decomposed
-        # again)
+        # again), and verify_chain only the oracle's: the aligned value at 0
+        # of each of the 9 families takes its defect bases without the
+        # operators (38 calls when it took both pairs)
         chain = build_chain(random_conservative_system(10, 1, np.random.default_rng(1)))
         seq = chain.params
         assert seq.terminated and len(seq) == 11
@@ -708,7 +758,7 @@ class TestVerifyChain:
         assert count(seq.validate) == 0
         assert count(lambda: reconstruct(seq)) == 0
         assert count(lambda: choice_sequence(seq.gammas, terminated=True)) == 20
-        assert count(lambda: verify_chain(chain)) == 38
+        assert count(lambda: verify_chain(chain)) == 20
 
     @pytest.mark.parametrize("scale", [0.5, 2.0])
     def test_inconsistent_sequence_reports_shape(self, scale):
@@ -857,17 +907,17 @@ class TestVerifyChain:
         residual = schur_mod._pure_char_residual
         expected, measured = [], []
 
-        def with_reference(blocks, colligations, links, pair, theta, pts, tol):
+        def with_reference(blocks, colligations, links, bases, theta, pts, tol):
             for s in (discrete_system(*member) for member in zip(*blocks)):
                 try:
                     kmx = decompose_kmx(s.block, tol)
                     phi = char_function(Contraction(adj(s.a), tol))
-                    ep, fp = pair[0].space.basis, pair[1].space.basis
+                    ep, fp = bases
                     expected.append(la.stack_matnorm_diff(
                         adj(fp) @ theta @ ep, adj(fp) @ (kmx.k @ phi.on(pts) @ kmx.m) @ ep))
                 except SchurkitError:
                     expected.append(float("inf"))
-            got = residual(blocks, colligations, links, pair, theta, pts, tol)
+            got = residual(blocks, colligations, links, bases, theta, pts, tol)
             # bounds come with a run, whose anchor alone is measured
             measured.extend(np.arange(len(got[1])) < (len(got[1]) if got[2] is None else 1))
             return got
