@@ -40,8 +40,8 @@ class Tolerance:
     def __post_init__(self):
         if not (0.0 < self.rank_rel < 1.0):
             raise ValueError("rank_rel must lie in (0, 1)")
-        if self.eq_abs <= 0.0:
-            raise ValueError("eq_abs must be positive")
+        if not (0.0 < self.eq_abs < np.inf):  # nan fails this test too
+            raise ValueError("eq_abs must be positive and finite")
 
 
 DEFAULT_TOL = Tolerance()

@@ -144,6 +144,17 @@ class _DividedEvaluator:
     its values, so that iterates sampled level by level on one grid solve
     each level there once, and the source function is sampled only on the
     circle, at 0 and at the grid's points outside the read-off disk.
+
+    The circle is taken through theta's circle sampler where it has one
+    (:meth:`~schurkit.systems.SampledFunction._on_circle`), which a
+    realized source, Theta = D + lambda C (I - lambda A)^{-1} B, has: its
+    values there are one length-N DFT of the Markov coefficients C A^{k-1}
+    B, scaled by r^k and folded mod N, summed up to the least K whose tail
+    ||C|| ||B|| r^K ||A||^{K-1} / (1 - r||A||) is below 2^-56 max(1, ||C||
+    ||B||), and moved to first order from the DFT's nodes onto the rounded
+    points (see :func:`~schurkit.systems._circle_stack`).  A source with a
+    non-finite block, r||A|| >= 1 or K > 4N is solved on the circle, as
+    every other point of the source and every iterate past the first are.
     """
 
     def __init__(self, theta: SampledFunction, gamma: np.ndarray, tol: Tolerance,
@@ -169,7 +180,7 @@ class _DividedEvaluator:
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         if np.array_equal(pts, self.points):
             if self.circle is None:
-                self.circle = self._core(self.points, self.theta.on(self.points))
+                self.circle = self._core(self.points, self.theta._on_circle(self.points))
                 self.circle.flags.writeable = False
             return self.circle
         inside = np.abs(pts) < (_READ_OFF_RADIUS if self.divide else 0.0)

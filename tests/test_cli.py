@@ -281,6 +281,17 @@ def test_tolerance_overrides_flow_through(system_path, tmp_path):
                  "--output", str(out)]) == 3  # rank_rel must lie in (0, 1)
 
 
+@pytest.mark.parametrize("verb, value", [
+    ("analyze", "nan"), ("verify", "nan"), ("verify", "inf"), ("verify", "0")])
+def test_non_finite_eq_tol_is_rejected(system_path, tmp_path, capsys, verb, value):
+    # a nan tolerance made every equality test false, so analyze reported
+    # the conservative input as neither passive nor isometric and verify
+    # blamed the input; inf let verify pass anything
+    assert main([verb, "--input", str(system_path), "--eq-tol", value,
+                 "--output", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == "error: eq_abs must be positive and finite\n"
+
+
 @pytest.mark.parametrize("verb, flag, value", [
     ("analyze", "--grid-radii", "0.5"),
     ("realize", "--grid-radii", "0.5"),

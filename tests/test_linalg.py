@@ -361,3 +361,15 @@ class TestJson:
 def test_haar_unitary_is_unitary(rng):
     u = la.haar_unitary(5, rng)
     assert la.matnorm_diff(adj(u) @ u, np.eye(5)) <= 1e-12
+
+
+@pytest.mark.parametrize("rank_rel, eq_abs", [
+    (1e-10, float("nan")), (1e-10, float("inf")), (1e-10, 0.0), (1e-10, -1e-9),
+    (float("nan"), 1e-9), (1.0, 1e-9)])
+def test_tolerance_rejects_values_outside_its_ranges(rank_rel, eq_abs):
+    with pytest.raises(ValueError):
+        la.Tolerance(rank_rel=rank_rel, eq_abs=eq_abs)
+
+
+def test_tolerance_accepts_finite_positive_values():
+    assert la.Tolerance(rank_rel=0.5, eq_abs=1e300).eq_abs == 1e300

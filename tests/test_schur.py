@@ -29,6 +29,7 @@ from schurkit import (
     unitarily_similar,
 )
 from schurkit import schur as schur_mod
+from schurkit import systems
 from schurkit.blockparam import decompose_kmx, shmulyan_transform, split_blocks
 from schurkit.errors import (
     InvalidSequence,
@@ -170,30 +171,37 @@ class TestOracleCircle:
 
     @pytest.mark.parametrize("state_dim, io_dim", [(5, 2), (3, 5)])
     def test_levels_solve_only_where_they_divide(self, monkeypatch, state_dim, io_dim):
-        # verify_chain samples the source on the circle, at 0 for Gamma_0 and,
-        # through level 1, at the 8 grid points outside the read-off disk,
-        # never at the 17 inside it; (3,5) terminates at step 1, so it has
-        # no family to sample on the grid.  Each iterate equals, bit for bit on the
+        # verify_chain solves the source at 0 for Gamma_0 and, through level
+        # 1, at the 8 grid points outside the read-off disk, never at the 17
+        # inside it, and samples its circle by the DFT of its Markov
+        # coefficients; (3,5) terminates at step 1, so it has no family to
+        # sample on the grid.  Each iterate equals, bit for bit on the
         # grid and at 0, the one built with the products by the identity
         # basis of a full defect space: levels 1 and 2 of (5,2) have full
         # defects, level 3 (Gamma_2 has a unitary part) and level 1 of (3,5)
         # (Gamma_0 has one) partial ones
         chain = _chain(state_dim, io_dim, 1)
-        source, seen = chain.source, []
-        transfer = source._transfer_stack
+        source, seen, circles = chain.source, [], []
+        transfer, circle_stack = source._transfer_stack, systems._circle_stack
 
         def recording(pts):
             seen.append(pts.copy())
             return transfer(pts)
 
+        def recording_circle(d, c, b, a, points):
+            circles.append(points)
+            return circle_stack(d, c, b, a, points)
+
         monkeypatch.setattr(source, "_transfer_stack", recording)
+        monkeypatch.setattr(systems, "_circle_stack", recording_circle)
         verify_chain(chain)
         grid = np.asarray(disk_grid())
         outer = grid[np.abs(grid) >= 0.65]
-        wanted = [np.zeros(1), schur_mod._oracle_circle(len(chain.params) - 1)]
-        wanted += [outer] if chain.families else []
+        wanted = [np.zeros(1)] + ([outer] if chain.families else [])
         assert len(seen) == len(wanted) and len(outer) == 8
         assert all(any(np.array_equal(p, q) for p in seen) for q in wanted)
+        circle = schur_mod._oracle_circle(len(chain.params) - 1)
+        assert len(circles) == 1 and np.array_equal(circles[0], circle)
 
         def sampled(oracle):
             return [np.concatenate([f.on(grid), f.on([0j])]) for f in oracle.iterates[1:]]
@@ -807,7 +815,8 @@ class TestVerifyChain:
         # the state norm takes no kernel call of its own.  ``solves`` and
         # ``svds`` are the counts when both were made per family, every norm
         # was an SVD and the oracle sampled each level's quadrature circle
-        # twice, one solve more per level past the source
+        # twice, one solve more per level past the source; the source's
+        # circle is one DFT of its Markov coefficients, with no solve
         chain = build_chain(random_conservative_system(state_dim, io_dim,
                                                        np.random.default_rng(seed)))
         counts = {"solve": 0, "svd": 0, "eigvalsh": 0}
@@ -822,7 +831,7 @@ class TestVerifyChain:
         assert verify_chain(chain).ok
         families, levels = len(chain.families), len(chain.params) - 1
         svd_calls, eigvalsh_calls = self.NORM_KERNEL_CALLS[state_dim, io_dim, seed]
-        assert counts == {"solve": solves - families - levels, "svd": svd_calls,
+        assert counts == {"solve": solves - families - levels - 1, "svd": svd_calls,
                           "eigvalsh": eigvalsh_calls}
         assert svd_calls + eigvalsh_calls < svds - families
 
@@ -831,8 +840,9 @@ class TestVerifyChain:
         # a family of n + 1 members that forms runs is one run: verify_chain
         # factors I - lambda A on the grid for one member, however large the
         # family is; in any other family for every member.
-        # The source and each oracle level solve twice, on the circle and at
-        # the grid points outside the read-off disk
+        # Each oracle level solves twice, on the circle and at the grid
+        # points outside the read-off disk; the source solves at those and
+        # at 0, and takes its circle from the DFT of its Markov coefficients
         chain = _chain(state_dim, io_dim, seed)
         shapes, solve = [], np.linalg.solve
 
@@ -845,7 +855,7 @@ class TestVerifyChain:
         members = [shape[0] for shape in shapes if len(shape) == 4]
         assert members == [1 if _forms_runs(f) else len(f) for f in chain.families]
         assert 1 in members
-        assert len(shapes) - len(members) == 2 * len(chain.params)
+        assert len(shapes) - len(members) == 2 * len(chain.params) - 1
 
     def test_member_with_other_io_dims_is_reported(self):
         # member 0 of family 1 replaced by a system on the same state space

@@ -4,6 +4,7 @@ import pytest
 import schurkit.linalg as la
 from schurkit import (
     Contraction,
+    SampledFunction,
     char_colligation,
     char_function,
     defect_functions,
@@ -12,7 +13,9 @@ from schurkit import (
     random_conservative_system,
     unitarily_similar,
 )
-from schurkit.blockparam import decompose_kmx
+from schurkit import schur as schur_mod
+from schurkit import systems
+from schurkit.blockparam import decompose_kmx, split_blocks
 from schurkit.errors import (
     DimMismatch,
     NotSimpleConservative,
@@ -60,6 +63,106 @@ class TestTransfer:
             assert sys.is_passive()
             for lam in disk_grid(radii=(0.3, 0.6, 0.9, 0.999)):
                 assert la.opnorm(sys.transfer(lam)) <= 1.0 + la.DEFAULT_TOL.eq_abs
+
+
+def _circle_and_solve(sys, circle):
+    """(the circle sampler's values or None, the solve's values or error)."""
+    blocks = (sys.d, sys.c, sys.b, sys.a)
+    sampled = systems._circle_stack(*blocks, circle)
+    try:
+        solved = transfer_stack(*blocks, circle)
+    except Exception as exc:  # noqa: BLE001  compared by type below
+        solved = exc
+    return sampled, solved
+
+
+def _on_circle_or_error(f, circle):
+    try:
+        return f._on_circle(circle)
+    except Exception as exc:  # noqa: BLE001  compared by type below
+        return exc
+
+
+class TestCircleSampler:
+    """The oracle's circle sampled by one DFT of the Markov coefficients
+    agrees with the stacked solve, and leaves the inputs it cannot take to
+    the solve."""
+
+    @staticmethod
+    def _contractive(rng, state_dim, out_dim, in_dim):
+        block = split_blocks(random_contraction_matrix(rng, out_dim + state_dim,
+                                                       in_dim + state_dim, 0.97),
+                             out_dim, in_dim)
+        return discrete_system(block.d, block.c, block.b, block.a)
+
+    @pytest.mark.parametrize("case", ["40-4", "96-1", "3-5", "state-free", "non-square"])
+    def test_agrees_with_the_solve(self, case):
+        rng = np.random.default_rng(3)
+        circle = schur_mod._oracle_circle(0)
+        if case == "40-4":
+            sys = random_conservative_system(40, 4, rng)
+        elif case == "96-1":
+            sys = random_conservative_system(96, 1, np.random.default_rng(7))
+            circle = schur_mod._oracle_circle(96)
+        elif case == "3-5":
+            sys = random_conservative_system(3, 5, rng)
+        elif case == "state-free":
+            sys = discrete_system(random_matrix(rng, 3, 2), la.zeros(3, 0), la.zeros(0, 2),
+                                  la.zeros(0, 0))
+        else:
+            sys = self._contractive(rng, 6, 3, 2)
+        sampled, solved = _circle_and_solve(sys, circle)
+        assert sampled is not None and sampled.shape == (len(circle), sys.out_dim, sys.in_dim)
+        assert np.max(np.abs(sampled - solved), initial=0.0) <= 1e-13
+        assert np.array_equal(sys.sampled()._on_circle(circle), sampled)
+        if case == "state-free":
+            assert np.max(np.abs(sampled - sys.d)) <= 1e-13
+        if case == "96-1":
+            assert abs(circle[0]) > 0.9 and len(circle) == 376
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("case", ["expansive", "nan", "inf"])
+    def test_inputs_it_cannot_take_are_solved(self, case):
+        rng = np.random.default_rng(4)
+        a = 1.3 * la.eye(3)  # r ||A|| = 1.04 on the circle of radius 0.8
+        if case != "expansive":
+            a = 0.5 * la.eye(3)
+            a[1, 2] = np.nan if case == "nan" else np.inf
+        sys = discrete_system(random_matrix(rng, 2, 2), random_matrix(rng, 2, 3),
+                              random_matrix(rng, 3, 2), a)
+        circle = schur_mod._oracle_circle(0)
+        sampled, solved = _circle_and_solve(sys, circle)
+        assert sampled is None
+        got = _on_circle_or_error(sys.sampled(), circle)
+        if isinstance(solved, Exception):
+            assert type(got) is type(solved)
+        else:
+            assert np.array_equal(got, solved, equal_nan=True)
+
+    def test_values_sit_at_the_rounded_points(self):
+        # the rounded circle points lie ~1e-16 off the DFT's nodes; the
+        # values at the nodes differ from the solve's by up to 2.4e-15 here,
+        # moved onto the points by the node correction by at most 1e-15
+        sys = random_conservative_system(96, 1, np.random.default_rng(7))
+        sampled, solved = _circle_and_solve(sys, schur_mod._oracle_circle(96))
+        assert np.max(np.abs(sampled - solved)) <= 1e-15
+
+    @pytest.mark.parametrize("points", ["grid", "rotated"])
+    def test_points_off_the_circle_are_solved(self, points):
+        sys = random_conservative_system(4, 2, np.random.default_rng(1))
+        circle = schur_mod._oracle_circle(0)
+        pts = np.asarray(disk_grid(), dtype=complex) if points == "grid" else 1j * circle
+        sampled, solved = _circle_and_solve(sys, pts)
+        assert sampled is None and np.array_equal(sys.sampled()._on_circle(pts), solved)
+
+    def test_checks_the_radius_and_the_shape(self):
+        sys = random_conservative_system(4, 2, np.random.default_rng(1))
+        with pytest.raises(OutsideDisk):
+            sys.sampled()._on_circle(np.array([1.0, -1.0], dtype=complex))
+        wrong = SampledFunction(2, 2, sys._transfer_stack,
+                                lambda pts: np.zeros((len(pts), 2, 3), dtype=complex))
+        with pytest.raises(ShapeMismatch):
+            wrong._on_circle(schur_mod._oracle_circle(0))
 
 
 class TestSimulate:
