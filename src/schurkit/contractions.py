@@ -10,7 +10,9 @@ sum_{j<n} A*^j D_A^2 A^j, so ker D_{A^n} is the orthocomplement of the
 block Krylov space K_n(A*, ran D_A), and ker D_{A*^m} that of
 K_m(A, ran D_A*).  One block-Arnoldi basis per side gives every edge entry
 as a column slice of that basis completed to a unitary, and each inner
-entry is one step from its neighbour.  In a conservative colligation
+entry is one step from its neighbour, made one entry at a time along a row
+or for a whole anti-diagonal at once, by one kernel that gives both orders
+the same bits.  In a conservative colligation
 ran D_A* = ran B and ran D_A = ran C*, so the same two bases span the
 controllable and observable spaces that classify a system.
 """
@@ -41,6 +43,16 @@ class DefectProfile:
 
 # (basis, dims) of a block Krylov basis, as block_arnoldi returns it
 _Krylov = tuple[np.ndarray, list[int]]
+
+
+def _row_major(mats: list[np.ndarray]) -> np.ndarray:
+    """The matrices, of one shape, as one stack of row-major copies: the
+    layout of the bases that the lattice stores alone (``np.stack`` keeps
+    a column-major input's layout)."""
+    stack = np.empty((len(mats),) + mats[0].shape, dtype=complex)
+    for dest, m in zip(stack, mats):
+        dest[...] = m
+    return stack
 
 
 class Contraction:
@@ -75,16 +87,33 @@ class Contraction:
         self.d_astar = self.defect_data_star.op
         self.defect_a = self.defect_data.space
         self.defect_astar = self.defect_data_star.space
-        self._powers: dict[int, np.ndarray] = {0: la.eye(self.dim), 1: a}
+        self._powers = _row_major([la.eye(self.dim), a])
+        self._power_count = 2
         self._h_cache: dict[tuple[int, int], Subspace] = {}
+        self._diagonals: list[np.ndarray | None] = []
         self._krylov: list[_Krylov] | None = None
 
     def power(self, n: int) -> np.ndarray:
-        """A^n; each missing power from the highest cached one up, as
-        A @ A^{k-1}, in a loop: a first high power costs no stack depth."""
-        for k in range(len(self._powers), n + 1):
-            self._powers[k] = self._powers[1] @ self._powers[k - 1]
-        return self._powers[n]
+        """A^n: A itself for n = 1, else the matrix of :meth:`_power_stack`."""
+        return self.a if n == 1 else self._power_stack(n)[n]
+
+    def _power_stack(self, n: int) -> np.ndarray:
+        """A^0, ..., A^n as one (n+1, d, d) stack of row-major matrices:
+        each missing power from the highest stored one up, as A @ A^{k-1}
+        with A^1 = A itself, in a loop into a buffer that at least doubles
+        when it is full, so a first high power costs no stack depth.  The
+        stack holds a row-major copy of A; the product of a row-major A
+        has the same bits as that of its copy, a column-major one not."""
+        have = self._power_count
+        if n >= have:
+            if n >= len(self._powers):
+                grown = np.empty((max(n + 1, 2 * have), self.dim, self.dim), dtype=complex)
+                grown[:have] = self._powers[:have]
+                self._powers = grown
+            for k in range(have, n + 1):
+                np.matmul(self.a, self.power(k - 1), out=self._powers[k])
+                self._power_count = k + 1
+        return self._powers[:n + 1]
 
     def power_defect(self, n: int, star: bool = False) -> np.ndarray:
         """D_{A^n}, or D_{A*^n} when ``star`` is set."""
@@ -100,6 +129,9 @@ class Contraction:
         m-th controllability block: one SVD of W* Q_m for the basis W of
         H(n, m-1) (:func:`~schurkit.linalg.intersect_perp`), made in a loop from
         H(n, 0) up, not a recursion: a first H(d, d) costs no stack depth.
+        :meth:`_anti_diagonal` makes the same steps for the entries with
+        n + m = s at once, by the same kernel on stacks, and stores the same
+        bits: whichever order filled the cache, an entry holds one basis.
         """
         if n < 0 or m < 0:
             raise ValueError("indices must be nonnegative")
@@ -107,18 +139,104 @@ class Contraction:
             if n == 0 and m == 0:
                 self._h_cache[n, m] = la.full_space(self.dim)
             elif n == 0 or m == 0:
-                basis, dims = self._completed(0 if m == 0 else 1)
-                cut = dims[min(n + m, len(dims) - 1)]
-                self._h_cache[n, m] = Subspace(self.dim, np.ascontiguousarray(basis[:, cut:]))
+                edge = self._edge(0 if m == 0 else 1, n + m)
+                self._h_cache[n, m] = Subspace(self.dim, np.ascontiguousarray(edge))
             else:
                 space = self.h_subspace(n, 0)
-                basis, dims = self._bases()[1]
                 for j in range(1, m + 1):
                     if (n, j) not in self._h_cache:
-                        block = basis[:, dims[j - 1]:dims[j]] if j < len(dims) else basis[:, :0]
-                        self._h_cache[n, j] = la.intersect_perp(space, block, self.tol)
+                        self._h_cache[n, j] = la.intersect_perp(space, self._block(j), self.tol)
                     space = self._h_cache[n, j]
         return self._h_cache[n, m]
+
+    def _edge(self, side: int, n: int) -> np.ndarray:
+        """The columns of the completed basis of side 0 (observability) or 1
+        (controllability) past its first dim K_n: the basis of H(n, 0) or
+        H(0, n), as a slice."""
+        basis, dims = self._completed(side)
+        return basis[:, dims[min(n, len(dims) - 1)]:]
+
+    def _block(self, j: int) -> np.ndarray:
+        """Q_j, the j-th block of the controllability basis, as a column
+        slice; no columns past the Krylov space."""
+        basis, dims = self._bases()[1]
+        return basis[:, dims[j - 1]:dims[j]] if j < len(dims) else basis[:, :0]
+
+    def _block_stack(self, js) -> np.ndarray:
+        """The blocks Q_j, j in ``js``, all of one width w, as a (len(js), d,
+        w) stack whose blocks are column-major with the basis's column
+        stride, as the slices of :meth:`_block` are: a view of the basis
+        for consecutive nonempty blocks, which lie side by side in it, and
+        a copy otherwise."""
+        width = self._block(js[-1]).shape[1]
+        if width and js[-1] - js[0] == len(js) - 1:
+            basis, dims = self._bases()[1]
+            cols = basis[:, dims[js[0] - 1]:dims[js[0] - 1] + len(js) * width]
+            return cols.T.reshape(len(js), width, self.dim).swapaxes(1, 2)
+        stack = np.empty((len(js), width, self.dim), dtype=complex).swapaxes(1, 2)
+        for dest, j in zip(stack, js):
+            dest[...] = self._block(j)
+        return stack
+
+    def _anti_diagonal(self, s: int) -> np.ndarray | None:
+        """The bases of H(s-k, k), k = 0..s, as one (s+1, d, m) stack when
+        they share one dimension m, else None.
+
+        Builds every missing anti-diagonal up to s, in order, and stores each
+        entry in the cache, as a view into its anti-diagonal's stack when it
+        has one.  The edges are the slices :meth:`h_subspace` stores.  Inner
+        entry k of anti-diagonal s is H(s-k, k-1) /\\ (ran Q_k)^perp, from
+        entry k-1 of anti-diagonal s-1: the step of the row recursion, made
+        by :func:`~schurkit.linalg.intersect_perp` on the stack of the inputs
+        and blocks of equal dimension and width (one stack in a generic
+        lattice), whose last product writes into the new stack.  The blocks
+        are stacked column-major like the basis they are cut from, so that
+        every product meets the layouts of the row recursion and gives its
+        bits.
+        """
+        while len(self._diagonals) <= s:
+            self._diagonals.append(self._build_anti_diagonal(len(self._diagonals)))
+        return self._diagonals[s]
+
+    def _build_anti_diagonal(self, s: int) -> np.ndarray | None:
+        d = self.dim
+        if s == 0:
+            stack = la.eye(d)[None]
+            entries = [stack[0]]
+        else:
+            top, bottom = self._edge(0, s), self._edge(1, s)
+            below = self._diagonals[s - 1]
+            inputs = (below[:s - 1] if below is not None else
+                      [self._h_cache[s - k, k - 1].basis for k in range(1, s)])
+            keys = [(w.shape[1], self._block(k).shape[1]) for k, w in enumerate(inputs, 1)]
+            inner = [None] * (s - 1)
+            stack = None
+
+            def into(m: int):
+                nonlocal stack
+                if m != top.shape[1] or m != bottom.shape[1]:
+                    return None
+                stack = np.empty((s + 1, d, m), dtype=complex)
+                return stack[1:s]
+
+            for group in la._index_groups(keys):
+                whole = len(group) == s - 1
+                w = inputs if whole and below is not None else _row_major(
+                    [inputs[i] for i in group])
+                bases = la.intersect_perp(w, self._block_stack(group + 1), self.tol,
+                                          into if whole else None)
+                for i, basis in zip(group, bases):
+                    inner[i] = basis
+            entries = [top, *inner, bottom]
+            if stack is not None:
+                stack[0], stack[s] = top, bottom
+            elif len({e.shape[1] for e in entries}) == 1:
+                stack = _row_major(entries)
+            if stack is not None:
+                entries = list(stack)
+        for k, basis in enumerate(entries):
+            self._h_cache[s - k, k] = Subspace(d, basis)
+        return stack
 
     def _bases(self) -> list[_Krylov]:
         """The (basis, dims) pairs of :func:`~schurkit.linalg.block_arnoldi`

@@ -460,8 +460,9 @@ def block_arnoldi(x: np.ndarray, start: np.ndarray,
     return basis[:, : dims[-1]], dims
 
 
-def intersect_perp(u: Subspace, q: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Subspace:
-    """U /\\ (ran Q)^perp for a matrix Q with orthonormal columns.
+def intersect_perp(u, q: np.ndarray, tol: Tolerance = DEFAULT_TOL, out=None):
+    """U /\\ (ran Q)^perp for a matrix Q with orthonormal columns, or for
+    each pair of two stacks.
 
     With W the basis of U, the squared singular values of Y = W* Q are the
     squared cosines of the principal angles between U and ran Q; the rank r
@@ -469,12 +470,56 @@ def intersect_perp(u: Subspace, q: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> 
     decisions, and the left singular vectors of Y past the first r give the
     intersection as W U[:, r:].  The cost is one m x cols(Q) SVD with
     m = dim U, and one product.
+
+    ``u`` is a :class:`Subspace` and ``q`` a matrix, giving a Subspace
+    (``u`` itself when r = 0); or ``u`` is a (K, d, m) stack of bases W_i
+    and ``q`` a (K, d, w) stack of Q_i, giving the list of the K bases.  A
+    stack costs one stacked product W* Q, one stacked SVD and one stacked
+    product W U[:, r:] per group of equal rank r.  When the whole stack has
+    one rank and ``out`` is given, ``out(m - r)`` returns the (K, d, m - r)
+    array that this product writes into, or None for a new one.  This is
+    the one intersection kernel of the lattice: the row recursion of
+    :meth:`~schurkit.contractions.Contraction.h_subspace` calls it on single
+    matrices, which it treats as stacks of one, and the anti-diagonals on
+    stacks.  Each pair of a stack gets, bit for bit, the basis it gets
+    alone.
     """
-    if u.dim == 0 or q.shape[1] == 0:
-        return u
-    vecs, s, _ = np.linalg.svd(adj(u.basis) @ q, full_matrices=True)
-    r = np.count_nonzero(_squared_keep(s * s, tol))
-    return u if r == 0 else Subspace(u.ambient_dim, u.basis @ vecs[:, r:])
+    space = u if isinstance(u, Subspace) else None
+    if space is not None:
+        if space.dim == 0 or q.shape[1] == 0:
+            return space
+        u, q = space.basis[None], q[None]
+    vecs, ranks = None, [0] * len(u)
+    if u.shape[-1] and q.shape[-1]:
+        vecs, s, _ = np.linalg.svd(adj(u) @ q, full_matrices=True)
+        ranks = np.count_nonzero(_squared_keep(s * s, tol), axis=-1).tolist()
+    bases = [None] * len(u)
+    for group in _index_groups(ranks):
+        r = ranks[group[0]]
+        whole = len(group) == len(u)
+        dest = out(u.shape[-1] - r) if whole and out is not None else None
+        w = u if whole else u[group]
+        if r == 0:  # W itself
+            products = w
+            if dest is not None:
+                dest[...] = w
+                products = dest
+        else:
+            products = np.matmul(w, (vecs if whole else vecs[group])[..., r:], out=dest)
+        for i, basis in zip(group, products):
+            bases[i] = basis
+    if space is not None:
+        return space if ranks[0] == 0 else Subspace(space.ambient_dim, bases[0])
+    return bases
+
+
+def _index_groups(keys) -> list[np.ndarray]:
+    """Positions of equal keys, one array per distinct key, in order of
+    first appearance."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return [np.array(g) for g in groups.values()]
 
 
 def subspace_eq(u: Subspace, v: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg as la
-from .blockparam import _shmulyan, assemble_blocks
+from .blockparam import BlockMatrix, _shmulyan, assemble_blocks
 from .contractions import Contraction
 from .errors import (
     InvalidSequence,
@@ -439,6 +439,7 @@ class _RealizationChain:
         self.defects: list[DefectPair] = []
         self.m_chains: list[np.ndarray] = [la.eye(sys.in_dim)]
         self.n_chains: list[np.ndarray] = [la.eye(sys.out_dim)]
+        self.b_images: dict[int, np.ndarray] = {}  # M_n B* W_{n,0} per non-terminal n
         self.terminated = self.state.dim == 0
         if not self.terminated:
             self._push_defect_step(*_defect_pair(sys.d, sys.tol))
@@ -471,7 +472,8 @@ class _RealizationChain:
 
     def _check_range_inclusions(self, n: int, dd: la.DefectData, dds: la.DefectData):
         """ran(M_n B* on H(n,0)) must lie in ran D(Gamma_n); likewise the
-        output chain applied to C on H(0,n) in ran D(Gamma*_n)."""
+        output chain applied to C on H(0,n) in ran D(Gamma*_n).  Keeps M_n
+        B* W_{n,0}, which :meth:`family` lifts."""
         e, f = dd.space, dds.space
         w_n0 = self.state.h_subspace(n, 0).basis
         w_0n = self.state.h_subspace(0, n).basis
@@ -483,33 +485,44 @@ class _RealizationChain:
             raise RangeInclusionViolated(
                 f"step {n}: residuals ({res_b:.3e}, {res_c:.3e}) exceed {_RANGE_GUARD:.0e}"
             )
+        self.b_images[n] = x
 
     def choice(self) -> ChoiceSequence:
         defects = self.defects[: len(self.gammas) - 1]
         return _recorded(self.gammas, defects, self.terminated, self.sys.tol)
 
     def family(self, n: int) -> list[DiscreteSystem]:
-        """All realizations of the n-th iterate, state spaces H(n-k, k)."""
+        """All realizations of the n-th iterate, state spaces H(n-k, k).
+
+        The bases W_k of H(n-k, k) are anti-diagonal n of the state's
+        lattice, one (n+1, d, m) stack, and the blocks of all members are
+        one batched product each, over the stack P of A^0, ..., A^n:
+        C = ((N_n C) P[n::-1]) W, B = W* (P lifted) and A = (W* A) W, in
+        the association and the layouts of a member built alone.  Each
+        member is a :class:`DiscreteSystem` over views of those stacks."""
         if n < 1 or n > self.last_n():
             raise Terminated(f"iterate index {n} lies beyond the computed chain")
         w_n0 = self.state.h_subspace(n, 0).basis
         if w_n0.shape[1] == 0:
             raise Terminated(f"H({n},0) is trivial; the algorithm terminated at step {n}")
-        gamma = self.gammas[n]
+        w = self.state._anti_diagonal(n)
+        if w is None:
+            for k in range(1, n + 1):
+                w_nk = self.state.h_subspace(n - k, k).basis
+                if w_nk.shape[1] != w_n0.shape[1]:
+                    raise RankInconsistency(
+                        f"dim H({n - k},{k}) = {w_nk.shape[1]} != dim H({n},0) = {w_n0.shape[1]}"
+                    )
+        powers = self.state._power_stack(n)
         # B of member k is W_k* A^k W_0 bstar*; the d x io factor is shared
-        lifted = w_n0 @ adj(self.m_chains[n] @ adj(self.sys.b) @ w_n0)
-        systems = []
-        for k in range(n + 1):
-            w_nk = self.state.h_subspace(n - k, k).basis
-            if w_nk.shape[1] != w_n0.shape[1]:
-                raise RankInconsistency(
-                    f"dim H({n - k},{k}) = {w_nk.shape[1]} != dim H({n},0) = {w_n0.shape[1]}"
-                )
-            c_blk = self.n_chains[n] @ self.sys.c @ self.state.power(n - k) @ w_nk
-            b_blk = adj(w_nk) @ (self.state.power(k) @ lifted)
-            a_blk = adj(w_nk) @ self.sys.a @ w_nk
-            systems.append(discrete_system(gamma, c_blk, b_blk, a_blk, self.sys.tol))
-        return systems
+        lifted = w_n0 @ adj(self.b_images[n])
+        w_star = adj(w)
+        c_blks = ((self.n_chains[n] @ self.sys.c) @ powers[::-1]) @ w
+        b_blks = w_star @ (powers @ lifted)
+        a_blks = (w_star @ self.sys.a) @ w
+        gamma, tol = self.gammas[n], self.sys.tol
+        return [DiscreteSystem(BlockMatrix(gamma, c, b, a), tol)
+                for c, b, a in zip(c_blks, b_blks, a_blks)]
 
 
 def gamma_from_realization(sys: DiscreteSystem, n_max: int) -> ChoiceSequence:
@@ -607,12 +620,12 @@ def build_chain(sys: DiscreteSystem, n_max: int | None = None) -> SchurChain:
     chain = _RealizationChain(sys)
     chain.extend(cap)
     last = chain.last_n()
-    h_chain = [chain.state.h_subspace(n, 0) for n in range(last + 1)]
     families = []
     for n in range(1, last + 1):
         if chain.state.h_subspace(n, 0).dim == 0:
             break
         families.append(chain.family(n))
+    h_chain = [chain.state.h_subspace(n, 0) for n in range(last + 1)]
     return SchurChain(sys, chain.state, chain.classification, chain.choice(), h_chain,
                       families)
 
@@ -835,15 +848,6 @@ def _family_transfers(stacks, fits: np.ndarray, bases: tuple | None,
     return to_oracle, across_k, pure
 
 
-def _index_groups(keys) -> list[np.ndarray]:
-    """Positions of equal keys, one array per distinct key, in order of
-    first appearance."""
-    groups: dict = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    return [np.array(g) for g in groups.values()]
-
-
 def _is_finite(s: DiscreteSystem) -> bool:
     return all(np.isfinite(getattr(s.block, blk)).all() for blk in "dcba")
 
@@ -854,7 +858,7 @@ def _state_groups(family: list[DiscreteSystem], finite: np.ndarray):
     (d, c, b, a) blocks stacked along a leading member axis."""
     keys = [(s.state_dim, s.in_dim, s.out_dim) if ok else None
             for s, ok in zip(family, finite)]
-    for members in _index_groups(keys):
+    for members in la._index_groups(keys):
         if keys[members[0]] is not None:
             yield members, tuple(np.array([getattr(family[i].block, blk) for i in members])
                                  for blk in "dcba")
@@ -954,7 +958,7 @@ def _pure_char_residual(blocks, norms: np.ndarray, links: np.ndarray | None,
         unsolved[part] = True
         if bases is not None:
             ranks = zip(keep_a[definite].sum(-1), keep_as[definite].sum(-1))
-            for sel in (definite[g] for g in _index_groups(ranks)):
+            for sel in (definite[g] for g in la._index_groups(ranks)):
                 sel = sel[unsolved[contractive[sel]]]
                 if not sel.size:
                     continue

@@ -8,6 +8,9 @@ are rendered as the strings "inf", "-inf", "nan".
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 
 from . import linalg as la
@@ -41,8 +44,26 @@ def dumps(obj) -> str:
         items = ",".join(f"{dumps(str(k))}:{dumps(v)}" for k, v in obj.items())
         return "{" + items + "}"
     if isinstance(obj, (list, tuple)):
+        pairs = _pairs(obj)
+        if pairs is not None:
+            return pairs
         return "[" + ",".join(dumps(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _pairs(obj) -> str | None:
+    """A matrix's data, a nonempty list of [re, im] lists of finite Python
+    floats none of which is -0.0, in one %-format call; None for anything
+    else, which takes the recursive path.  The format is the one that path
+    gives each float, so the bytes are the same."""
+    if not obj or not all(type(p) is list and len(p) == 2 for p in obj):
+        return None
+    values = tuple(itertools.chain.from_iterable(obj))
+    if not (all(type(x) is float for x in values) and all(map(math.isfinite, values))):
+        return None
+    if 0.0 in values and any(math.copysign(1.0, x) < 0 for x in values if x == 0.0):
+        return None
+    return "[" + ",".join(["[%.17g,%.17g]"] * len(obj)) % values + "]"
 
 
 def block_to_json(block: BlockMatrix) -> dict:

@@ -401,6 +401,45 @@ def test_dumps_renders_non_finite_floats_as_strings():
     assert serialize.dumps({"r": float("inf")}) == '{"r":"inf"}'
 
 
+def _recursive_dumps(obj) -> str:
+    """dumps without the one-format path for matrix data."""
+    if isinstance(obj, list):
+        return "[" + ",".join(_recursive_dumps(v) for v in obj) + "]"
+    if isinstance(obj, dict):
+        return "{" + ",".join(f"{serialize.dumps(str(k))}:{_recursive_dumps(v)}"
+                              for k, v in obj.items()) + "}"
+    return serialize.dumps(obj)
+
+
+@pytest.mark.parametrize("case", [
+    "matrix", "extremes", "nan", "inf", "-inf", "-0.0", "empty", "numpy floats", "ints",
+    "not pairs",
+])
+def test_matrix_data_renders_as_the_recursive_path(case):
+    # finite Python float pairs take one %-format call; every other list
+    # takes the recursive path; the bytes are the same either way
+    rng = np.random.default_rng(5)
+    data = la.matrix_to_json(rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3)))["data"]
+    data[0] = [0.0, 1.0]
+    data = {
+        "matrix": data,
+        "extremes": [[1e-300, -1e300], [5e-324, 1.7976931348623157e308], [0.1, -2.0 / 3.0]],
+        "nan": data[:3] + [[float("nan"), 1.0]],
+        "inf": data[:3] + [[1.0, float("inf")]],
+        "-inf": [[float("-inf"), 0.0]] + data[:3],
+        "-0.0": data[:3] + [[-0.0, 0.5]],
+        "empty": [],
+        "numpy floats": [[np.float64(0.25), np.float64(-1.5)]],
+        "ints": [[1, 2], [3, 4]],
+        "not pairs": [[0.5, 0.25, 0.125], [1.0, 2.0]],
+    }[case]
+    fast = case in ("matrix", "extremes")
+    assert (serialize._pairs(data) is not None) == fast
+    assert serialize.dumps(data) == _recursive_dumps(data)
+    report = {"A": {"rows": len(data), "cols": 1, "data": data}, "blocks": [data, data]}
+    assert serialize.dumps(report) == _recursive_dumps(report)
+
+
 @pytest.mark.parametrize("verb", ["analyze", "schur", "realize", "verify", "sample", "random"])
 def test_parser_defaults_are_the_library_defaults(verb):
     ns = build_parser().parse_args([verb])

@@ -190,6 +190,98 @@ class TestArnoldiLattice:
                 assert np.array_equal(outer[:, outer.shape[1] - inner.shape[1]:], inner)
 
 
+def _fill_rows(a: Contraction, last: int):
+    """Every H(p, q), p + q <= last, by the row recursion of h_subspace."""
+    for p in range(last + 1):
+        a.h_subspace(p, last - p)
+
+
+def _fill_anti_diagonals(a: Contraction, last: int):
+    for s in range(last + 1):
+        a._anti_diagonal(s)
+
+
+def _assert_same_lattice(a: Contraction, ref: Contraction, last: int):
+    """Equal bits for every entry, and each anti-diagonal that has a stack
+    holds its entries' stored bases."""
+    for s in range(last + 1):
+        stack = a._anti_diagonal(s)
+        for k in range(s + 1):
+            got = a.h_subspace(s - k, k).basis
+            assert got.flags.c_contiguous, (s - k, k)
+            assert np.array_equal(got, ref.h_subspace(s - k, k).basis), (s - k, k)
+            if stack is not None:
+                assert np.array_equal(got, stack[k])
+                assert got.size == 0 or np.shares_memory(got, stack)
+
+
+class TestAntiDiagonals:
+    """The lattice built one anti-diagonal at a time, by the kernel of the
+    row recursion on stacks, stores the row recursion's bits."""
+
+    @pytest.mark.parametrize("state_dim, io_dim", [
+        (3, 5), (4, 2), (10, 1), (16, 2), (40, 4), (48, 3),
+    ])
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("order", ["anti-diagonals first", "rows first"])
+    def test_bits_of_the_row_recursion(self, state_dim, io_dim, seed, order):
+        sys = random_conservative_system(state_dim, io_dim, np.random.default_rng(seed))
+        last = -(-state_dim // io_dim) + 1
+        ref = Contraction(sys.a, sys.tol)
+        _fill_rows(ref, last)
+        a = Contraction(sys.a, sys.tol)
+        for fill in ((_fill_anti_diagonals, _fill_rows) if order == "anti-diagonals first"
+                     else (_fill_rows, _fill_anti_diagonals)):
+            fill(a, last)
+        _assert_same_lattice(a, ref, last)
+        assert all(a._anti_diagonal(s) is not None for s in range(last + 1))
+
+    @pytest.mark.parametrize("state_dim, io_dim", [(7, 3), (20, 3)])
+    def test_short_last_block_and_no_blocks_past_the_krylov_space(self, state_dim, io_dim):
+        # the last controllability block has fewer than io columns, and the
+        # anti-diagonals past the Krylov depth meet empty blocks: both split
+        # the stack by block width
+        sys = random_conservative_system(state_dim, io_dim, np.random.default_rng(1))
+        a = Contraction(sys.a, sys.tol)
+        _, dims = a._bases()[1]
+        assert dims[-1] - dims[-2] < io_dim
+        last = len(dims) + 2
+        ref = Contraction(sys.a, sys.tol)
+        _fill_rows(ref, last)
+        _assert_same_lattice(a, ref, last)
+
+    def test_zero_dimensional_state(self):
+        a = Contraction(la.zeros(0, 0))
+        for s in range(4):
+            assert a._anti_diagonal(s).shape == (s + 1, 0, 0)
+            assert all(a.h_subspace(s - k, k).basis.shape == (0, 0) for k in range(s + 1))
+
+    def test_general_contractions(self, rng):
+        cases = [random_contraction_matrix(rng, 6, 6, norm) for norm in (0.5, 0.95, 1.0)]
+        cases += [_direct_sum(random_contraction_matrix(rng, 4, 4), la.haar_unitary(2, rng)),
+                  la.haar_unitary(4, rng), NILPOTENT.a, np.diag([0.0, 0.0, 0.3])]
+        for m in cases:
+            ref = Contraction(m)
+            _fill_rows(ref, m.shape[0] + 1)
+            _assert_same_lattice(Contraction(m), ref, m.shape[0] + 1)
+
+    def test_unequal_dimensions_split_the_stack(self):
+        # one entry of anti-diagonal 3 loses a column: anti-diagonal 4 has
+        # two input dimensions, is built in two stacks, keeps the row
+        # recursion's bits on the same input, and has no stack of its own
+        sys = random_conservative_system(10, 1, np.random.default_rng(2))
+        a, ref = Contraction(sys.a, sys.tol), Contraction(sys.a, sys.tol)
+        _fill_anti_diagonals(a, 3)
+        _fill_rows(ref, 3)
+        for c in (a, ref):
+            c._h_cache[2, 1] = la.Subspace(10, np.ascontiguousarray(c.h_subspace(2, 1).basis[:, 1:]))
+        a._diagonals[3] = None
+        assert a._anti_diagonal(4) is None
+        for k in range(5):
+            assert np.array_equal(a.h_subspace(4 - k, k).basis, ref.h_subspace(4 - k, k).basis)
+        assert a.h_subspace(2, 2).dim == a.h_subspace(4, 0).dim - 1
+
+
 class TestHSubspace:
     def test_nilpotent_lattice(self):
         assert la.subspace_eq(NILPOTENT.h_subspace(1, 0), la.subspace([[0], [1]]))

@@ -1247,6 +1247,69 @@ class TestTermination:
         assert chain.termination_step == 20
         assert len(calls) == 44
 
+    def test_lattice_makes_one_svd_per_anti_diagonal(self, monkeypatch):
+        # the chain terminates at 20, so families 1..19 read anti-diagonals
+        # 1..19; each from the second on has inner entries, made by one
+        # stacked SVD of all of them
+        sys = random_conservative_system(40, 2, np.random.default_rng(3))
+        svd, shapes = np.linalg.svd, []
+
+        def recording(m, *args, **kwargs):
+            if inspect.currentframe().f_back.f_code.co_name == "intersect_perp":
+                shapes.append(m.shape)
+            return svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        chain = build_chain(sys)
+        assert len(chain.families) == 19
+        assert shapes == [(s - 1, 40 - 2 * (s - 1), 2) for s in range(2, 20)]
+
+
+class TestFamilyStacks:
+    """Each family is one batched product per block over an anti-diagonal
+    of the lattice; the members are what member-by-member products give."""
+
+    @staticmethod
+    def _member(chain, n: int, k: int):
+        state, src = chain.state, chain.sys
+        w_n0 = state.h_subspace(n, 0).basis
+        w = state.h_subspace(n - k, k).basis
+        lifted = w_n0 @ adj(chain.m_chains[n] @ adj(src.b) @ w_n0)
+        return (chain.n_chains[n] @ src.c @ state.power(n - k) @ w,
+                adj(w) @ (state.power(k) @ lifted), adj(w) @ src.a @ w)
+
+    @pytest.mark.parametrize("state_dim, io_dim, seed", [
+        (6, 1, 7), (10, 1, 3), (16, 2, 1), (20, 3, 1), (40, 4, 3), (3, 5, 0),
+    ])
+    def test_members_are_the_member_by_member_products(self, state_dim, io_dim, seed):
+        sys = random_conservative_system(state_dim, io_dim, np.random.default_rng(seed))
+        chain = schur_mod._RealizationChain(sys)
+        chain.extend(state_dim + 1)
+        for n in range(1, chain.last_n() + 1):
+            if chain.state.h_subspace(n, 0).dim == 0:
+                break
+            family = chain.family(n)
+            assert len(family) == n + 1
+            for k, member in enumerate(family):
+                assert member.d is chain.gammas[n]
+                for got, want in zip((member.c, member.b, member.a), self._member(chain, n, k)):
+                    assert np.array_equal(got, want), (n, k)
+
+    def test_unequal_dimensions_raise_the_rank_inconsistency(self):
+        # an entry of anti-diagonal 3 that lost a column reaches family 4 as
+        # a member of another state dimension
+        sys = random_conservative_system(10, 1, np.random.default_rng(2))
+        chain = schur_mod._RealizationChain(sys)
+        chain.extend(11)
+        state = chain.state
+        state._anti_diagonal(3)
+        state._h_cache[2, 1] = la.Subspace(10, np.ascontiguousarray(
+            state.h_subspace(2, 1).basis[:, 1:]))
+        state._diagonals[3] = None
+        with pytest.raises(schur_mod.RankInconsistency,
+                           match=r"^dim H\(2,2\) = 5 != dim H\(4,0\) = 6$"):
+            chain.family(4)
+
 
 def _sigma_blocks(a: Contraction):
     u = a.defect_a.basis

@@ -155,6 +155,19 @@ class TestCircleSampler:
         sampled, solved = _circle_and_solve(sys, pts)
         assert sampled is None and np.array_equal(sys.sampled()._on_circle(pts), solved)
 
+    def test_node_shift_is_kept_per_circle(self):
+        # the long-double node offsets of a circle are computed once and
+        # kept read-only, with the values that computing them afresh gives
+        circle = schur_mod._oracle_circle(96)
+        n = len(circle)
+        nodes = np.longdouble(abs(circle[0])) * np.exp(
+            2j * np.arccos(np.longdouble(-1)) * np.arange(n) / n)
+        shift = systems._node_shift(circle.tobytes())
+        assert np.array_equal(shift, (circle / nodes - 1).astype(complex))
+        assert not shift.flags.writeable
+        assert systems._node_shift(circle.copy().tobytes()) is shift
+        assert systems._node_shift((1j * circle).tobytes()) is not shift
+
     def test_checks_the_radius_and_the_shape(self):
         sys = random_conservative_system(4, 2, np.random.default_rng(1))
         with pytest.raises(OutsideDisk):
